@@ -28,9 +28,7 @@ from .oracle import DEFAULT_CAP, solve_bruteforce
 from .recover import (
     check_correspondence,
     classify_solution,
-    recover_solution,
-    recover_type1,
-    recover_type2,
+    recover_witness,
 )
 from .report import (
     KTableRow,
@@ -83,9 +81,7 @@ __all__ = [
     "DEFAULT_CAP",
     "solve_bruteforce",
     "classify_solution",
-    "recover_type1",
-    "recover_type2",
-    "recover_solution",
+    "recover_witness",
     "check_correspondence",
     "KTableRow",
     "k_table",

@@ -1,11 +1,12 @@
-"""Recovery of the certifying divisor d from a known solution.
+"""Recovery of the certifying witness from a known solution.
 
 Witness search (the witness module) goes from (x, d) to a solution;
-this module goes back: given a genuine solution (p, x, y, z), it
-derives the unique d whose witness rebuilds exactly (y, z):
+this module goes back: given a genuine solution (p, x, y, z), the
+solution fixes its own type (TYPE_II iff p | y) and the unique d whose
+witness rebuilds exactly (y, z), with q = 4*x - p:
 
-  type I : d = (4*x - p)*y - p*x
-  type II: d = (4*x - p)*(y/p) - x
+  type I : d = q*y - p*x
+  type II: d = q*(y/p) - x
 
 Every property the characterization promises about d is re-derived
 rather than assumed; a failure raises CorrespondenceError because it
@@ -20,30 +21,27 @@ from collections import Counter
 from .errors import CorrespondenceError, DomainError, InvalidSolutionError
 from .oracle import DEFAULT_CAP, solve_bruteforce
 from .witness import (
-    Solution,
     SolutionType,
     Witness,
+    _require_prime,
+    _x_bounds,
     build_solution,
     check_type1,
     check_type2,
     enumerate_witnesses,
     verify_identity,
 )
-from .arith import is_prime
 
 __all__ = [
     "classify_solution",
-    "recover_type1",
-    "recover_type2",
-    "recover_solution",
+    "recover_witness",
     "check_correspondence",
 ]
 
 
 def classify_solution(p: int, x: int, y: int, z: int) -> SolutionType:
     """TYPE_II iff p | y, TYPE_I otherwise, for a verified solution."""
-    if p < 0 or not is_prime(p):
-        raise DomainError(f"expected a prime, got {p}")
+    _require_prime(p)
     if not (1 <= x <= y <= z):
         raise InvalidSolutionError(f"not ordered positive: {(x, y, z)}")
     if not verify_identity(p, x, y, z):
@@ -70,29 +68,32 @@ def _solution_prefix_z(p: int, x: int, y: int) -> int:
     return z
 
 
-def recover_type1(p: int, x: int, y: int) -> Witness:
-    """Witness for a type I solution (p ∤ y) with the given x, y.
+def recover_witness(p: int, x: int, y: int) -> Witness:
+    """The unique witness of the solution (x, y, z) of 4/p, given p, x, y.
 
-    Re-derives d = (4*x - p)*y - p*x and checks d | x*x, the x range,
-    the congruence, and that the rebuilt solution reproduces (y, z).
+    The type is read from the solution, TYPE_II iff p | y. Re-derives
+    d (see the module docstring) and checks d >= 1, d | x*x, the x
+    range, the type's congruence (which includes d <= x for type II),
+    and that the rebuilt solution reproduces (y, z).
     """
-    if p < 0 or not is_prime(p):
-        raise DomainError(f"expected a prime, got {p}")
-    if y % p == 0:
-        raise DomainError(f"p={p} divides y={y}: a type II solution")
+    _require_prime(p)
     z = _solution_prefix_z(p, x, y)
 
-    d = (4 * x - p) * y - p * x
+    q = 4 * x - p
+    if y % p:
+        t, d, congruence = SolutionType.TYPE_I, q * y - p * x, check_type1
+    else:
+        t, d, congruence = SolutionType.TYPE_II, q * (y // p) - x, check_type2
     if d < 1:
         raise CorrespondenceError(f"recovered d={d} < 1 for p={p}, x={x}, y={y}")
     if (x * x) % d != 0:
         raise CorrespondenceError(f"recovered d={d} does not divide {x}**2")
-    lo, hi = (p + 3) // 4, (p + 1) // 2
+    lo, hi = _x_bounds(p)
     if not lo <= x <= hi:
         raise CorrespondenceError(f"solution x={x} outside [{lo}, {hi}] for p={p}")
-    if not check_type1(p, x, d):
-        raise CorrespondenceError(f"congruence fails for recovered d={d}")
-    w = Witness(p, x, d, SolutionType.TYPE_I)
+    if not congruence(p, x, d):
+        raise CorrespondenceError(f"type {t.value} congruence fails for recovered d={d}")
+    w = Witness(p, x, d, t)
     rebuilt = build_solution(w)
     if (rebuilt.y, rebuilt.z) != (y, z):
         raise CorrespondenceError(
@@ -102,43 +103,8 @@ def recover_type1(p: int, x: int, y: int) -> Witness:
     return w
 
 
-def recover_type2(p: int, x: int, y: int) -> Witness:
-    """Witness for a type II solution (p | y) with the given x, y.
-
-    Re-derives d = (4*x - p)*(y/p) - x and checks 1 <= d <= x, d | x*x,
-    the x range, the congruence, and the exact rebuild of (y, z).
-    """
-    if p < 0 or not is_prime(p):
-        raise DomainError(f"expected a prime, got {p}")
-    if y % p != 0:
-        raise DomainError(f"p={p} does not divide y={y}: a type I solution")
-    z = _solution_prefix_z(p, x, y)
-
-    d = (4 * x - p) * (y // p) - x
-    if not 1 <= d <= x:
-        raise CorrespondenceError(f"recovered d={d} outside [1, x={x}]")
-    if (x * x) % d != 0:
-        raise CorrespondenceError(f"recovered d={d} does not divide {x}**2")
-    lo, hi = (p + 3) // 4, (p + 1) // 2
-    if not lo <= x <= hi:
-        raise CorrespondenceError(f"solution x={x} outside [{lo}, {hi}] for p={p}")
-    if not check_type2(p, x, d):
-        raise CorrespondenceError(f"congruence fails for recovered d={d}")
-    w = Witness(p, x, d, SolutionType.TYPE_II)
-    rebuilt = build_solution(w)
-    if (rebuilt.y, rebuilt.z) != (y, z):
-        raise CorrespondenceError(
-            f"rebuild mismatch: witness {w} gives {(rebuilt.y, rebuilt.z)}, "
-            f"solution has {(y, z)}"
-        )
-    return w
-
-
-def recover_solution(s: Solution) -> Witness:
-    """Type-dispatched recovery for a Solution value."""
-    if s.type is SolutionType.TYPE_I:
-        return recover_type1(s.p, s.x, s.y)
-    return recover_type2(s.p, s.x, s.y)
+def _listing(side: Counter) -> str:
+    return "[" + ", ".join(f"{t.value} {s}" for t, s in sorted(side.elements())) + "]"
 
 
 def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
@@ -147,8 +113,9 @@ def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
     Returns a list of violation descriptions (empty means the
     correspondence is perfect for p):
 
-      - per type, the witness-built solution set equals the oracle's
-        solution set, and the counts agree (bijection);
+      - the witness-built solutions and the oracle's solutions, each
+        counted by (type, triple), are the same multiset; a solution
+        built twice or listed twice counts 2 and differs (bijection);
       - forward round-trip: witness -> solution -> recovered witness
         is the identity;
       - backward round-trip: oracle solution -> witness -> rebuilt
@@ -156,61 +123,35 @@ def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
     """
     problems: list[str] = []
 
-    witnesses = enumerate_witnesses(p)
-    built = [build_solution(w) for w in witnesses]
-    for w, s in zip(witnesses, built):
+    witness_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
+    for w in enumerate_witnesses(p):
+        s = build_solution(w)
+        witness_side[s.type, (s.x, s.y, s.z)] += 1
         try:
-            back = recover_solution(s)
+            back = recover_witness(s.p, s.x, s.y)
         except (DomainError, CorrespondenceError) as exc:
             problems.append(f"p={p}: forward round-trip failed for {w}: {exc}")
             continue
         if back != w:
             problems.append(f"p={p}: forward round-trip {w} -> {s} -> {back}")
 
-    witness_sets: dict[SolutionType, set[tuple[int, int, int]]] = {
-        SolutionType.TYPE_I: set(),
-        SolutionType.TYPE_II: set(),
-    }
-    witness_counts: Counter[SolutionType] = Counter()
-    for s in built:
-        witness_sets[s.type].add((s.x, s.y, s.z))
-        witness_counts[s.type] += 1
-
-    oracle_sets: dict[SolutionType, set[tuple[int, int, int]]] = {
-        SolutionType.TYPE_I: set(),
-        SolutionType.TYPE_II: set(),
-    }
-    oracle_counts: Counter[SolutionType] = Counter()
+    oracle_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
     for x, y, z in solve_bruteforce(p, cap=oracle_cap):
-        t = classify_solution(p, x, y, z)
-        oracle_sets[t].add((x, y, z))
-        oracle_counts[t] += 1
         try:
-            w = recover_type1(p, x, y) if t is SolutionType.TYPE_I else recover_type2(p, x, y)
+            w = recover_witness(p, x, y)
         except (DomainError, CorrespondenceError) as exc:
             problems.append(f"p={p}: backward recovery failed for {(x, y, z)}: {exc}")
             continue
+        oracle_side[w.type, (x, y, z)] += 1
         s = build_solution(w)
         if (s.x, s.y, s.z) != (x, y, z):
             problems.append(
                 f"p={p}: backward round-trip {(x, y, z)} -> {w} -> {(s.x, s.y, s.z)}"
             )
 
-    for t in (SolutionType.TYPE_I, SolutionType.TYPE_II):
-        if witness_sets[t] != oracle_sets[t]:
-            missing = sorted(oracle_sets[t] - witness_sets[t])
-            extra = sorted(witness_sets[t] - oracle_sets[t])
-            problems.append(
-                f"p={p}: type {t.value} sets differ "
-                f"(oracle-only {missing}, witness-only {extra})"
-            )
-        if witness_counts[t] != oracle_counts[t]:
-            problems.append(
-                f"p={p}: type {t.value} counts differ "
-                f"(witnesses {witness_counts[t]}, oracle {oracle_counts[t]})"
-            )
-        if len(witness_sets[t]) != witness_counts[t]:
-            problems.append(
-                f"p={p}: type {t.value} witness map is not injective"
-            )
+    if witness_side != oracle_side:
+        problems.append(
+            f"p={p}: solutions differ (oracle-only {_listing(oracle_side - witness_side)}, "
+            f"witness-only {_listing(witness_side - oracle_side)})"
+        )
     return problems

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import primes_in_range
 from .errors import DomainError
-from .witness import SolutionType, iter_witnesses
+from .scan import scan_primes
+from .witness import SolutionType, _x_bounds
 
 __all__ = [
     "KTableRow",
@@ -37,13 +37,10 @@ class KTableRow:
 
 def k_table(hi: int, type: SolutionType) -> list[KTableRow]:
     """One row per prime <= hi with that type's sorted distinct k set."""
-    if hi < 2:
-        raise DomainError(f"k_table expects hi >= 2, got {hi}")
-    rows = []
-    for p in primes_in_range(2, hi):
-        ks = sorted({w.k for w in iter_witnesses(p) if w.type is type})
-        rows.append(KTableRow(p, tuple(ks)))
-    return rows
+    return [
+        KTableRow(r.p, r.type1_k_set if type is SolutionType.TYPE_I else r.type2_k_set)
+        for r in scan_primes(2, hi, mode="exhaustive").records
+    ]
 
 
 def k_table_csv(rows: list[KTableRow]) -> str:
@@ -59,12 +56,10 @@ def k_table_json(rows: list[KTableRow]) -> str:
 
 def figure_points(hi: int) -> list[tuple[int, int]]:
     """Every (p, x) with p <= hi prime and x admitting any witness."""
-    if hi < 2:
-        raise DomainError(f"figure_points expects hi >= 2, got {hi}")
     points = []
-    for p in primes_in_range(2, hi):
-        for x in sorted({w.x for w in iter_witnesses(p)}):
-            points.append((p, x))
+    for r in scan_primes(2, hi, mode="exhaustive").records:
+        lo = _x_bounds(r.p)[0]
+        points.extend((r.p, lo + k) for k in sorted({*r.type1_k_set, *r.type2_k_set}))
     return points
 
 

@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 from .arith import _square_divisor_cache, divisors, primes_in_range
 from .errors import DomainError
-from .witness import SolutionType, Witness, first_witness, iter_witnesses
+from .witness import SolutionType, Witness, _x_bounds, first_witness, iter_witnesses
 
 __all__ = [
     "HARD_RESIDUES_840",
@@ -69,6 +69,14 @@ class ScanReport:
     counterexamples: tuple[int, ...]
     residue_summary: dict[int, dict[str, Any]]
     elapsed: float
+
+
+def _check_range(lo: int, hi: int) -> None:
+    """DomainError unless 2 <= lo <= hi <= 2**32, the range every scan supports."""
+    if not 2 <= lo <= hi:
+        raise DomainError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+    if hi > _HI_CAP:
+        raise DomainError(f"hi={hi} exceeds the supported cap {_HI_CAP}")
 
 
 def _record_for_prime(p: int, mode: str) -> ScanRecord:
@@ -133,10 +141,7 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) ->
     """
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not 2 <= lo <= hi:
-        raise DomainError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
-    if hi > _HI_CAP:
-        raise DomainError(f"hi={hi} exceeds the supported cap {_HI_CAP}")
+    _check_range(lo, hi)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
@@ -174,13 +179,12 @@ def _has_type1_witness_at(p: int, x: int) -> bool:
 def check_k0_type1_rule(hi: int) -> list[int]:
     """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
     the smallest x. Expected empty."""
-    if hi < 3:
-        raise DomainError(f"check_k0_type1_rule expects hi >= 3, got {hi}")
+    _check_range(3, hi)
     violations = []
     for p in primes_in_range(3, hi):
         if p % 24 == 1:
             continue
-        if not _has_type1_witness_at(p, (p + 3) // 4):
+        if not _has_type1_witness_at(p, _x_bounds(p)[0]):
             violations.append(p)
     return violations
 
@@ -189,14 +193,13 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
     """Pairs (p, k) with p <= hi, p % 4 == 3, k a divisor of ceil(p/4)
     inside the k range, and no type I witness at x = ceil(p/4) + k.
     Expected empty."""
-    if hi < 3:
-        raise DomainError(f"check_divisor_k_rule expects hi >= 3, got {hi}")
+    _check_range(3, hi)
     violations = []
     for p in primes_in_range(3, hi):
         if p % 4 != 3:
             continue
-        m = (p + 3) // 4
-        k_max = (p + 1) // 2 - m
+        m, x_hi = _x_bounds(p)
+        k_max = x_hi - m
         for k in divisors(m):
             if k > k_max:
                 break

@@ -59,7 +59,7 @@ class Witness:
     @property
     def k(self) -> int:
         """Offset of x above the smallest admissible value ceil(p/4)."""
-        return self.x - (self.p + 3) // 4
+        return self.x - _x_bounds(self.p)[0]
 
     @property
     def modulus(self) -> int:
@@ -82,18 +82,23 @@ def _require_prime(p: int) -> None:
         raise DomainError(f"expected a prime, got {p}")
 
 
+def _x_bounds(p: int) -> tuple[int, int]:
+    """(ceil(p/4), ceil(p/2)) without the primality check of x_range."""
+    return (p + 3) // 4, (p + 1) // 2
+
+
 def x_range(p: int) -> tuple[int, int]:
     """Smallest and largest x any solution can use: (ceil(p/4), ceil(p/2)).
 
     4*x - p >= 1 holds throughout the range.
     """
     _require_prime(p)
-    return (p + 3) // 4, (p + 1) // 2
+    return _x_bounds(p)
 
 
 def _check_preconditions(p: int, x: int, d: int) -> None:
     _require_prime(p)
-    lo, hi = (p + 3) // 4, (p + 1) // 2
+    lo, hi = _x_bounds(p)
     if not lo <= x <= hi:
         raise DomainError(f"x={x} outside [{lo}, {hi}] for p={p}")
     if d < 1 or (x * x) % d != 0:
@@ -119,7 +124,7 @@ def iter_witnesses(p: int) -> Iterator[Witness]:
     the type I one first. Lazy, so callers can stop early.
     """
     _require_prime(p)
-    lo, hi = (p + 3) // 4, (p + 1) // 2
+    lo, hi = _x_bounds(p)
     for x in range(lo, hi + 1):
         q = 4 * x - p
         t1 = (-p * x) % q
@@ -162,7 +167,7 @@ def build_solution(w: Witness) -> Solution:
     re-checked; any failure raises ConsistencyError (broken witness).
     """
     p, x, d = w.p, w.x, w.d
-    lo, hi = (p + 3) // 4, (p + 1) // 2
+    lo, hi = _x_bounds(p)
     if not (is_prime(p) and lo <= x <= hi and d >= 1):
         raise ConsistencyError(f"witness fields out of domain: {w}")
     xx = x * x

@@ -202,6 +202,10 @@ class TestProperties:
             "divisor_violations": [],
         }
 
+    def test_hi_above_scan_cap_is_usage_error(self, capsys):
+        assert main(["properties", str((1 << 32) + 1)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_violation_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "check_k0_type1_rule", lambda hi: [97])
         assert main(["properties", "100"]) == 5

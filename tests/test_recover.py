@@ -14,10 +14,11 @@ from erdos_straus import (
     classify_solution,
     enumerate_witnesses,
     primes_in_range,
-    recover_solution,
-    recover_type1,
-    recover_type2,
+    recover_witness,
+    solve_bruteforce,
 )
+import erdos_straus.recover as recover_module
+from erdos_straus.cli import main
 
 PRIMES_TO_300 = primes_in_range(2, 300)
 
@@ -39,37 +40,25 @@ class TestClassify:
             classify_solution(4, 2, 3, 6)
 
 
-class TestRecoverType1:
+class TestRecoverWitness:
     def test_spot_values(self):
-        assert recover_type1(5, 2, 4).d == 2
-        assert recover_type1(3, 1, 4).d == 1
-
-    def test_wrong_type_rejected(self):
-        with pytest.raises(DomainError):
-            recover_type1(7, 2, 14)  # 7 | 14 makes this type II
+        assert recover_witness(5, 2, 4) == Witness(5, 2, 2, SolutionType.TYPE_I)
+        assert recover_witness(3, 1, 4) == Witness(3, 1, 1, SolutionType.TYPE_I)
+        assert recover_witness(2, 1, 2) == Witness(2, 1, 1, SolutionType.TYPE_II)
+        assert recover_witness(3, 1, 6) == Witness(3, 1, 1, SolutionType.TYPE_II)
+        assert recover_witness(41, 14, 41) == Witness(41, 14, 1, SolutionType.TYPE_II)
 
     def test_non_solution_rejected(self):
         with pytest.raises(DomainError):
-            recover_type1(5, 2, 3)  # no z completes (2, 3)
+            recover_witness(5, 2, 3)  # no z completes (2, 3)
         with pytest.raises(DomainError):
-            recover_type1(5, 4, 2)  # y < x
+            recover_witness(5, 4, 2)  # y < x
         with pytest.raises(DomainError):
-            recover_type1(6, 2, 4)  # composite
-
-
-class TestRecoverType2:
-    def test_spot_values(self):
-        assert recover_type2(2, 1, 2).d == 1
-        assert recover_type2(3, 1, 6).d == 1
-        assert recover_type2(41, 14, 41).d == 1
-
-    def test_wrong_type_rejected(self):
+            recover_witness(6, 2, 4)  # composite
         with pytest.raises(DomainError):
-            recover_type2(5, 2, 4)  # 5 does not divide 4
-
-    def test_non_solution_rejected(self):
+            recover_witness(7, 2, 14)  # 4/7 - 1/2 - 1/14 = 0 leaves no z
         with pytest.raises(DomainError):
-            recover_type2(7, 3, 7)  # no z completes (3, 7)
+            recover_witness(7, 3, 7)  # no z completes (3, 7)
 
 
 class TestRoundTrips:
@@ -78,7 +67,7 @@ class TestRoundTrips:
     def test_forward_round_trip_is_identity(self, p):
         for w in enumerate_witnesses(p):
             s = build_solution(w)
-            assert recover_solution(s) == w
+            assert recover_witness(s.p, s.x, s.y) == w
 
     def test_forward_round_trip_distinguishes_double_hits(self):
         # (x, d) pairs satisfying both congruences must round-trip per type.
@@ -89,10 +78,11 @@ class TestRoundTrips:
             SolutionType.TYPE_II,
         }
         for w in ws:
-            assert recover_solution(build_solution(w)) == w
+            s = build_solution(w)
+            assert recover_witness(s.p, s.x, s.y) == w
 
     def test_recovered_witness_carries_matching_type(self):
-        w = recover_type2(41, 14, 41)
+        w = recover_witness(41, 14, 41)
         assert w == Witness(41, 14, 1, SolutionType.TYPE_II)
         s = build_solution(w)
         assert (s.y, s.z) == (41, 574)
@@ -106,3 +96,37 @@ class TestCorrespondence:
     def test_clean_below_300(self):
         for p in PRIMES_TO_300:
             assert check_correspondence(p, oracle_cap=300) == [], p
+
+
+def _patch_oracle(monkeypatch, edit):
+    """Make check_correspondence see edit(true oracle triples)."""
+    true_oracle = recover_module.solve_bruteforce
+    monkeypatch.setattr(
+        recover_module, "solve_bruteforce", lambda p, cap: edit(true_oracle(p, cap=cap))
+    )
+
+
+class TestCorrespondenceViolations:
+    def test_dropped_solution(self, monkeypatch):
+        _patch_oracle(monkeypatch, lambda ts: ts[1:])
+        dropped = solve_bruteforce(41)[0]
+        problems = check_correspondence(41)
+        assert any(str(dropped) in line for line in problems), problems
+
+    def test_duplicated_solution(self, monkeypatch):
+        _patch_oracle(monkeypatch, lambda ts: ts + ts[:1])
+        problems = check_correspondence(41)
+        assert problems
+        assert all(line.startswith("p=41: ") for line in problems), problems
+
+    def test_non_solution(self, monkeypatch):
+        _patch_oracle(monkeypatch, lambda ts: ts + [(11, 50, 60)])
+        problems = check_correspondence(41)
+        assert len(problems) == 1
+        assert "backward recovery failed for (11, 50, 60)" in problems[0]
+
+    def test_non_solution_exits_5_from_compare(self, monkeypatch, capsys):
+        _patch_oracle(monkeypatch, lambda ts: ts + [(11, 50, 60)])
+        assert main(["compare", "41", "41"]) == 5
+        out = capsys.readouterr().out
+        assert "VIOLATION p=41: backward recovery failed for (11, 50, 60)" in out

@@ -148,6 +148,11 @@ class TestRules:
             check_k0_type1_rule(2)
         with pytest.raises(DomainError):
             check_divisor_k_rule(1)
+        # Above the scan cap both rules refuse before sieving anything.
+        with pytest.raises(DomainError):
+            check_k0_type1_rule((1 << 32) + 1)
+        with pytest.raises(DomainError):
+            check_divisor_k_rule((1 << 32) + 1)
 
 
 class TestResidueStats:
