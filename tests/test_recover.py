@@ -40,13 +40,16 @@ class TestClassify:
             classify_solution(4, 2, 3, 6)
 
 
-class TestRecoverWitness:
+class TestRecoverType1:
+    """recover_witness on solutions with p not dividing y."""
+
     def test_spot_values(self):
         assert recover_witness(5, 2, 4) == Witness(5, 2, 2, SolutionType.TYPE_I)
         assert recover_witness(3, 1, 4) == Witness(3, 1, 1, SolutionType.TYPE_I)
-        assert recover_witness(2, 1, 2) == Witness(2, 1, 1, SolutionType.TYPE_II)
-        assert recover_witness(3, 1, 6) == Witness(3, 1, 1, SolutionType.TYPE_II)
-        assert recover_witness(41, 14, 41) == Witness(41, 14, 1, SolutionType.TYPE_II)
+
+    def test_wrong_type_rejected(self):
+        with pytest.raises(DomainError):
+            recover_witness(7, 2, 14)  # 7 | 14 reads as type II; 4/7 - 1/2 - 1/14 = 0
 
     def test_non_solution_rejected(self):
         with pytest.raises(DomainError):
@@ -55,8 +58,17 @@ class TestRecoverWitness:
             recover_witness(5, 4, 2)  # y < x
         with pytest.raises(DomainError):
             recover_witness(6, 2, 4)  # composite
-        with pytest.raises(DomainError):
-            recover_witness(7, 2, 14)  # 4/7 - 1/2 - 1/14 = 0 leaves no z
+
+
+class TestRecoverType2:
+    """recover_witness on solutions with p | y."""
+
+    def test_spot_values(self):
+        assert recover_witness(2, 1, 2) == Witness(2, 1, 1, SolutionType.TYPE_II)
+        assert recover_witness(3, 1, 6) == Witness(3, 1, 1, SolutionType.TYPE_II)
+        assert recover_witness(41, 14, 41) == Witness(41, 14, 1, SolutionType.TYPE_II)
+
+    def test_non_solution_rejected(self):
         with pytest.raises(DomainError):
             recover_witness(7, 3, 7)  # no z completes (3, 7)
 
