@@ -1,19 +1,24 @@
 """Exhaustive brute-force solver of 4/n = 1/x + 1/y + 1/z.
 
 Ground truth for cross-validation: this module never imports the
-witness or recover code, so agreement between the two routes is
+witness, recover or arith code, so agreement between the two routes is
 meaningful. Works for any n >= 2, prime or not.
 
-For x <= y <= z the equation forces n/4 < x <= 3n/4, and for each x
-it forces y between nx/(4x-n) (exclusive) and 2nx/(4x-n); z is then
-determined. Bounds are widened by one on each side and every
-candidate is filtered by the exact conditions, so the ceiling
-algebra can be off by one without dropping a solution.
+For x <= y <= z the equation forces n/4 < x <= 3n/4. Fix such an x and
+put q = 4x - n > 0 and m = n*x, so 4/n - 1/x = q/m. Then
+1/y + 1/z = q/m is m*(y + z) = q*y*z, which is the divisor form
+
+    (q*y - m) * (q*z - m) = m**2.
+
+So u = q*y - m and v = q*z - m are complementary divisors of m**2.
+Every solution is found this way: u > 0 because 1/y < q/m, and
+u <= m because y <= z means u <= v. Walking the divisors u <= m of
+m**2 with u = -m (mod q), and keeping those whose cofactor v also
+gives an integer z = (m + v)/q with y >= x, therefore lists every
+solution once. Each hit is re-checked by the exact identity.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 
@@ -21,70 +26,61 @@ __all__ = ["DEFAULT_CAP", "solve_bruteforce"]
 
 DEFAULT_CAP = 100_000
 
-# Below this y-span the numpy round trip costs more than it saves.
-_VECTOR_MIN = 64
-_CHUNK = 1 << 20
-# All int64 intermediates are kept below 2**62, leaving headroom.
-_INT64_GUARD = 1 << 62
+
+# Own trial division rather than arith's helpers, so that the oracle
+# shares no code with the witness route it is meant to check.
+def _factor_into(k: int, exps: dict[int, int]) -> dict[int, int]:
+    """Add the prime exponents of k to exps and return it."""
+    d = 2
+    while d * d <= k:
+        while k % d == 0:
+            exps[d] = exps.get(d, 0) + 1
+            k //= d
+        d += 1
+    if k > 1:
+        exps[k] = exps.get(k, 0) + 1
+    return exps
 
 
-def _scan_python(n: int, x: int, q: int, nx: int, y_lo: int, y_hi: int) -> list[tuple[int, int, int]]:
-    out = []
-    for y in range(y_lo, y_hi + 1):
-        den = q * y - nx
-        if den <= 0:
-            continue
-        num = nx * y
-        if num % den == 0:
-            z = num // den
-            if z >= y:
-                out.append((x, y, z))
-    return out
-
-
-def _scan_vectorized(n: int, x: int, q: int, nx: int, y_lo: int, y_hi: int) -> list[tuple[int, int, int]]:
-    out = []
-    for chunk_lo in range(y_lo, y_hi + 1, _CHUNK):
-        chunk_hi = min(chunk_lo + _CHUNK - 1, y_hi)
-        ys = np.arange(chunk_lo, chunk_hi + 1, dtype=np.int64)
-        den = q * ys - nx
-        pos = den > 0
-        ys = ys[pos]
-        if ys.size == 0:
-            continue
-        den = den[pos]
-        num = nx * ys
-        zs = num // den
-        hit = (num % den == 0) & (zs >= ys)
-        for y, z in zip(ys[hit].tolist(), zs[hit].tolist()):
-            out.append((x, y, z))
-    return out
+def _square_divisors_upto(exps: dict[int, int], limit: int) -> list[int]:
+    """Divisors of (prod p**e)**2 that are <= limit, in no set order."""
+    divs = [1]
+    for prime, e in exps.items():
+        grown = []
+        for d in divs:
+            for _ in range(2 * e + 1):
+                if d > limit:
+                    break
+                grown.append(d)
+                d *= prime
+        divs = grown
+    return divs
 
 
 def solve_bruteforce(n: int, *, cap: int = DEFAULT_CAP) -> list[tuple[int, int, int]]:
     """All (x, y, z) with x <= y <= z and 4*x*y*z == n*(yz + xz + xy).
 
-    Lexicographically ordered. The enumeration is quadratic-ish in n
-    (and far worse on the 4x - n = 1 stripes), so a configurable cap
-    guards against accidental huge inputs; this is a correctness
-    oracle, not a production search.
+    Lexicographically ordered. The work grows with n times the divisor
+    count of (n*x)**2, so a configurable cap guards against accidental
+    huge inputs; this is a correctness oracle, not a production search.
     """
     if n < 2:
         raise DomainError(f"solve_bruteforce expects n >= 2, got {n}")
     if n > cap:
         raise ResourceLimitError(f"n={n} exceeds the cap {cap}")
+    n_exps = _factor_into(n, {})
     solutions: list[tuple[int, int, int]] = []
     for x in range(n // 4 + 1, (3 * n) // 4 + 1):
         q = 4 * x - n
-        nx = n * x
-        y_lo = max(x, -(-nx // q) - 1)
-        y_hi = (2 * nx) // q + 1
-        if y_hi < y_lo:
-            continue
-        span = y_hi - y_lo + 1
-        # Exact Python-int overflow pre-check before trusting int64.
-        if span >= _VECTOR_MIN and nx * y_hi < _INT64_GUARD and q * y_hi < _INT64_GUARD:
-            solutions.extend(_scan_vectorized(n, x, q, nx, y_lo, y_hi))
-        else:
-            solutions.extend(_scan_python(n, x, q, nx, y_lo, y_hi))
+        m = n * x
+        for u in _square_divisors_upto(_factor_into(x, dict(n_exps)), m):
+            if (m + u) % q:
+                continue
+            v = m * m // u
+            if (m + v) % q:
+                continue
+            y, z = (m + u) // q, (m + v) // q
+            if y >= x and 4 * x * y * z == n * (y * z + x * z + x * y):
+                solutions.append((x, y, z))
+    solutions.sort()
     return solutions

@@ -15,6 +15,7 @@ polynomial identities do not cover.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -79,6 +80,13 @@ def _check_range(lo: int, hi: int) -> None:
         raise DomainError(f"hi={hi} exceeds the supported cap {_HI_CAP}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the most pool processes worth starting."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _record_for_prime(p: int, mode: str) -> ScanRecord:
     if mode == "first-only":
         return ScanRecord(p, first_witness(p), None, None, None, p % 24, p % 840)
@@ -135,8 +143,9 @@ def _summarize(records: tuple[ScanRecord, ...], modulus: int) -> dict[int, dict[
 def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) -> ScanReport:
     """Scan every prime in [lo, hi]; see the module docstring.
 
-    workers > 1 distributes contiguous chunks of the prime list over
-    OS processes; the merged result is byte-for-byte the same as a
+    workers > 1 splits the prime list into about 4 * workers contiguous
+    chunks and maps them over a process pool of at most one process
+    per usable CPU; the merged result is byte-for-byte the same as a
     single-worker run.
     """
     if mode not in _MODES:
@@ -154,7 +163,7 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) ->
         tasks = [
             (tuple(primes[i : i + step]), mode) for i in range(0, len(primes), step)
         ]
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, _usable_cpus())) as pool:
             records = [r for chunk in pool.map(_scan_chunk, tasks) for r in chunk]
     rec_tuple = tuple(records)
     counterexamples = tuple(r.p for r in rec_tuple if r.first is None)

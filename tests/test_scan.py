@@ -1,7 +1,11 @@
 """Range scanning, structural rules, residue statistics, determinism."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import erdos_straus.scan as scan_module
 from erdos_straus import (
     HARD_RESIDUES_840,
     DomainError,
@@ -13,6 +17,7 @@ from erdos_straus import (
     residue_stats,
     scan_primes,
 )
+from erdos_straus.cli import main
 
 
 def record_by_p(report):
@@ -104,6 +109,46 @@ class TestScanParallel:
         base = scan_primes(2, 1500, mode="first-only", workers=1)
         multi = scan_primes(2, 1500, mode="first-only", workers=4)
         assert base.records == multi.records
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Swap in a pool that maps serially and records its size, so no
+        process is started whatever size is asked for."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(scan_module, "Pool", SerialPool)
+        return sizes
+
+    def test_pool_capped_at_usable_cpus(self, pool_sizes):
+        base = scan_primes(2, 5000, mode="first-only", workers=1)
+        multi = scan_primes(2, 5000, mode="first-only", workers=300)
+        assert pool_sizes == [min(300, scan_module._usable_cpus())]
+        assert base.records == multi.records
+
+    def test_cli_keeps_requested_workers(self, pool_sizes, tmp_path, capsys):
+        outs = {}
+        for threads in ("1", "300"):
+            out = tmp_path / f"scan_{threads}.jsonl"
+            assert main(["scan", "2", "5000", "--threads", threads, "--out", str(out)]) == 0
+            summary = json.loads(Path(f"{out}.summary.json").read_text())
+            assert summary["workers"] == int(threads)
+            outs[threads] = out.read_bytes()
+        capsys.readouterr()
+        assert pool_sizes == [min(300, scan_module._usable_cpus())]
+        assert outs["1"] == outs["300"]
 
 
 class TestScanDomain:
