@@ -45,8 +45,10 @@ from .scan import (
     ScanReport,
     check_divisor_k_rule,
     check_k0_type1_rule,
+    record_line,
     residue_stats,
     scan_primes,
+    summary_line,
 )
 from .witness import (
     Solution,
@@ -93,6 +95,8 @@ __all__ = [
     "HARD_RESIDUES_840",
     "ScanRecord",
     "ScanReport",
+    "record_line",
+    "summary_line",
     "scan_primes",
     "check_k0_type1_rule",
     "check_divisor_k_rule",

@@ -9,7 +9,9 @@ structural-rule violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -24,7 +26,13 @@ from .report import (
     points_csv,
     render_scatter,
 )
-from .scan import ScanRecord, ScanReport, check_divisor_k_rule, check_k0_type1_rule, scan_primes
+from .scan import (
+    check_divisor_k_rule,
+    check_k0_type1_rule,
+    record_line,
+    scan_primes,
+    summary_line,
+)
 from .witness import (
     SolutionType,
     Witness,
@@ -48,37 +56,29 @@ def _witness_json(w: Witness) -> dict[str, Any]:
     return {"p": w.p, "x": w.x, "d": w.d, "k": w.k, "type": w.type.value}
 
 
-def _record_json(r: ScanRecord) -> dict[str, Any]:
-    counts = r.witness_count_by_type
-    return {
-        "p": r.p,
-        "first": None if r.first is None else _witness_json(r.first),
-        "type1_k_set": None if r.type1_k_set is None else list(r.type1_k_set),
-        "type2_k_set": None if r.type2_k_set is None else list(r.type2_k_set),
-        "witness_counts": None
-        if counts is None
-        else {"type1": counts[0], "type2": counts[1]},
-        "residue_24": r.residue_24,
-        "residue_840": r.residue_840,
-    }
-
-
-def _summary_json(report: ScanReport, workers: int) -> dict[str, Any]:
-    return {
-        "lo": report.lo,
-        "hi": report.hi,
-        "mode": report.mode,
-        "workers": workers,
-        "prime_count": len(report.records),
-        "counterexamples": list(report.counterexamples),
-        "residue_summary": {str(k): v for k, v in report.residue_summary.items()},
-        "elapsed_seconds": round(report.elapsed, 3),
-    }
-
-
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write text to path, replacing a regular file atomically.
+
+    The text goes to a temp file in the target's directory and is then
+    renamed over it, so a failed write leaves any old file untouched.
+    Something at path that is not a regular file (/dev/null, a pipe)
+    is written in place, since renaming over it would replace it.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -128,11 +128,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     mode = "exhaustive" if args.exhaustive else "first-only"
     report = scan_primes(args.lo, args.hi, mode=mode, workers=args.threads)
-    lines = "".join(_compact(_record_json(r)) + "\n" for r in report.records)
-    summary = _summary_json(report, args.threads)
+    lines = "".join(record_line(r) + "\n" for r in report.records)
+    summary = summary_line(report, args.threads)
     if args.out:
         _write_text(args.out, lines)
-        _write_text(args.out + ".summary.json", _compact(summary) + "\n")
+        _write_text(args.out + ".summary.json", summary + "\n")
         print(
             f"scanned {len(report.records)} primes in [{report.lo}, {report.hi}] "
             f"({mode}), {len(report.counterexamples)} counterexample(s), "
@@ -140,7 +140,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
     else:
         sys.stdout.write(lines)
-        print(_compact(summary), file=sys.stderr)
+        print(summary, file=sys.stderr)
     if report.counterexamples:
         print(
             f"counterexamples found: {list(report.counterexamples)}", file=sys.stderr

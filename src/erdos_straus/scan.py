@@ -15,20 +15,30 @@ polynomial identities do not cover.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Any, Optional
 
-from .arith import _square_divisor_cache, divisors, primes_in_range
+from .arith import divisors, primes_in_range
 from .errors import DomainError
-from .witness import SolutionType, Witness, _x_bounds, first_witness, iter_witnesses
+from .witness import (
+    SolutionType,
+    Witness,
+    _ascending_square_divisors,
+    _x_bounds,
+    first_witness,
+    iter_witnesses,
+)
 
 __all__ = [
     "HARD_RESIDUES_840",
     "ScanRecord",
     "ScanReport",
+    "record_line",
+    "summary_line",
     "scan_primes",
     "check_k0_type1_rule",
     "check_divisor_k_rule",
@@ -70,6 +80,49 @@ class ScanReport:
     counterexamples: tuple[int, ...]
     residue_summary: dict[int, dict[str, Any]]
     elapsed: float
+
+
+def _json_ints(values: Optional[tuple[int, ...]]) -> str:
+    return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
+
+
+def record_line(r: ScanRecord) -> str:
+    """The record as one line of compact, key-sorted JSON, no newline.
+
+    The same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    of the record's JSON object, formatted directly because a scan
+    writes one line per prime.
+    """
+    w = r.first
+    first = (
+        "null"
+        if w is None
+        else f'{{"d":{w.d},"k":{w.k},"p":{w.p},"type":"{w.type.value}","x":{w.x}}}'
+    )
+    counts = r.witness_count_by_type
+    witness_counts = (
+        "null" if counts is None else f'{{"type1":{counts[0]},"type2":{counts[1]}}}'
+    )
+    return (
+        f'{{"first":{first},"p":{r.p},"residue_24":{r.residue_24},'
+        f'"residue_840":{r.residue_840},"type1_k_set":{_json_ints(r.type1_k_set)},'
+        f'"type2_k_set":{_json_ints(r.type2_k_set)},"witness_counts":{witness_counts}}}'
+    )
+
+
+def summary_line(report: ScanReport, workers: int) -> str:
+    """The report's summary as one line of compact, key-sorted JSON, no newline."""
+    summary = {
+        "lo": report.lo,
+        "hi": report.hi,
+        "mode": report.mode,
+        "workers": workers,
+        "prime_count": len(report.records),
+        "counterexamples": list(report.counterexamples),
+        "residue_summary": {str(k): v for k, v in report.residue_summary.items()},
+        "elapsed_seconds": round(report.elapsed, 3),
+    }
+    return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -182,7 +235,10 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) ->
 def _has_type1_witness_at(p: int, x: int) -> bool:
     q = 4 * x - p
     target = (-p * x) % q
-    return any(d % q == target for d in _square_divisor_cache(x))
+    for d in _ascending_square_divisors(x):
+        if d % q == target:
+            return True
+    return False
 
 
 def check_k0_type1_rule(hi: int) -> list[int]:

@@ -14,8 +14,10 @@ p not dividing y; type II solutions have p | y.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterator, Optional
 
 from .arith import _square_divisor_cache, is_prime
@@ -82,6 +84,27 @@ def _require_prime(p: int) -> None:
         raise DomainError(f"expected a prime, got {p}")
 
 
+# Divisors d <= _PROBE_LIMIT of x*x are found by trial division before
+# x is factored: most first witnesses use such a d (on 2..499999,
+# 39,215 of 41,538 use d in {1, 2, 4, 5}), so early-exit searches rarely
+# build the full divisor list. Timed on 2..499999, the first-witness
+# search costs the same for limits from 8 to 128 and factors fewer x
+# as the limit grows, while the divisor-k rule, whose witnesses mostly
+# lie past the probe, pays for every probe; 64 balances the two.
+_PROBE_LIMIT = 64
+
+
+def _ascending_square_divisors(x: int) -> Iterator[int]:
+    """Divisors of x*x ascending; x is factored only past _PROBE_LIMIT."""
+    xx = x * x
+    for d in range(1, min(xx, _PROBE_LIMIT) + 1):
+        if xx % d == 0:
+            yield d
+    if xx > _PROBE_LIMIT:
+        divs = _square_divisor_cache(x)
+        yield from islice(divs, bisect_right(divs, _PROBE_LIMIT), None)
+
+
 def _x_bounds(p: int) -> tuple[int, int]:
     """(ceil(p/4), ceil(p/2)) without the primality check of x_range."""
     return (p + 3) // 4, (p + 1) // 2
@@ -143,8 +166,24 @@ def enumerate_witnesses(p: int) -> list[Witness]:
 
 
 def first_witness(p: int) -> Optional[Witness]:
-    """First witness in enumeration order, or None; stops early."""
-    return next(iter_witnesses(p), None)
+    """First witness in iter_witnesses order, or None.
+
+    Walks each x's divisors through _ascending_square_divisors, so x is
+    factored only when no small divisor is a witness at that x.
+    """
+    _require_prime(p)
+    lo, hi = _x_bounds(p)
+    for x in range(lo, hi + 1):
+        q = 4 * x - p
+        t1 = (-p * x) % q
+        t2 = (-x) % q
+        for d in _ascending_square_divisors(x):
+            r = d % q
+            if r == t1:
+                return Witness(p, x, d, SolutionType.TYPE_I)
+            if r == t2 and d <= x:
+                return Witness(p, x, d, SolutionType.TYPE_II)
+    return None
 
 
 def verify_identity(p: int, x: int, y: int, z: int) -> bool:

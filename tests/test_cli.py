@@ -2,7 +2,9 @@
 
 import importlib
 import json
+import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +111,59 @@ class TestScan:
         missing_dir = tmp_path / "absent" / "scan.jsonl"
         assert main(["scan", "2", "30", "--out", str(missing_dir)]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+    def test_failed_write_keeps_old_file(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "scan.jsonl"
+        out.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        assert main(["scan", "2", "30", "--out", str(out)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["scan.jsonl"]
+
+    def test_write_error_removes_temp_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_text(str(out), "\ud800")
+        assert out.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_pipe_written_in_place(self, tmp_path):
+        fifo = tmp_path / "records"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cli._write_text(str(fifo), "abc\n")
+            assert os.read(reader, 100) == b"abc\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [f.name for f in tmp_path.iterdir()] == ["records"]
+
+    def test_symlink_target_replaced(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        cli._write_text(str(link), "new\n")
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+
+    def test_rewrite_replaces_old_file(self, tmp_path, capsys):
+        out = tmp_path / "scan.jsonl"
+        out.write_text("old\n")
+        assert main(["scan", "2", "30", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == 10
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "scan.jsonl",
+            "scan.jsonl.summary.json",
+        ]
 
     def test_counterexample_exit_code(self, monkeypatch, tmp_path, capsys):
         # No real counterexample exists in reach, so fabricate one to

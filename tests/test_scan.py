@@ -9,13 +9,16 @@ import erdos_straus.scan as scan_module
 from erdos_straus import (
     HARD_RESIDUES_840,
     DomainError,
+    ScanRecord,
     SolutionType,
     check_divisor_k_rule,
     check_k0_type1_rule,
     divisors,
     enumerate_witnesses,
+    record_line,
     residue_stats,
     scan_primes,
+    summary_line,
 )
 from erdos_straus.cli import main
 
@@ -95,6 +98,52 @@ class TestScanFirstOnly:
             assert entry["min_witness_count"] is None
             assert entry["k0_type1_fraction"] is None
             assert entry["count"] >= 1
+
+
+def reference_record_json(r):
+    """The record's JSON object, spelled out key by key."""
+    w = r.first
+    counts = r.witness_count_by_type
+    obj = {
+        "p": r.p,
+        "first": None
+        if w is None
+        else {"p": w.p, "x": w.x, "d": w.d, "k": w.k, "type": w.type.value},
+        "type1_k_set": None if r.type1_k_set is None else list(r.type1_k_set),
+        "type2_k_set": None if r.type2_k_set is None else list(r.type2_k_set),
+        "witness_counts": None
+        if counts is None
+        else {"type1": counts[0], "type2": counts[1]},
+        "residue_24": r.residue_24,
+        "residue_840": r.residue_840,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class TestRecordLine:
+    def test_first_only_records(self):
+        for r in scan_primes(2, 3000).records:
+            assert record_line(r) == reference_record_json(r)
+
+    def test_exhaustive_records(self, report):
+        for r in report.records:
+            assert record_line(r) == reference_record_json(r)
+
+    def test_counterexample_records(self):
+        for r in (
+            ScanRecord(73, None, None, None, None, 1, 73),
+            ScanRecord(73, None, (), (), (0, 0), 1, 73),
+        ):
+            assert record_line(r) == reference_record_json(r)
+            assert json.loads(record_line(r))["first"] is None
+
+    def test_summary_line(self, report):
+        summary = json.loads(summary_line(report, 3))
+        assert summary["workers"] == 3
+        assert (summary["lo"], summary["hi"], summary["mode"]) == (2, 100, "exhaustive")
+        assert summary["prime_count"] == 25
+        assert summary["residue_summary"]["1"]["count"] == report.residue_summary[1]["count"]
+        assert summary_line(report, 3) == json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
 class TestScanParallel:

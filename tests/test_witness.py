@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import erdos_straus.witness as witness_module
 from erdos_straus import (
     ConsistencyError,
     DomainError,
@@ -12,6 +13,7 @@ from erdos_straus import (
     build_solution,
     check_type1,
     check_type2,
+    divisors_of_square,
     enumerate_witnesses,
     first_witness,
     iter_witnesses,
@@ -121,9 +123,24 @@ class TestFirstWitness:
         assert (w73.x, w73.k) == (20, 1)
 
     def test_matches_enumeration_head(self):
-        for p in PRIMES_TO_400:
-            ws = enumerate_witnesses(p)
-            assert first_witness(p) == (ws[0] if ws else None)
+        # first_witness probes small divisors before factoring x;
+        # iter_witnesses walks the full divisor list. Some of these
+        # primes need a first d above the probe limit (p = 9241 with
+        # a limit of 64), so the fallback is compared as well.
+        fallback = []
+        for p in primes_in_range(2, 30_000):
+            w = first_witness(p)
+            assert w == next(iter_witnesses(p), None), p
+            if w.d > witness_module._PROBE_LIMIT:
+                fallback.append(p)
+        assert fallback
+
+
+class TestAscendingSquareDivisors:
+    @pytest.mark.parametrize("xs", [range(1, 5001), [720_720, 2**31 - 1]])
+    def test_matches_divisors_of_square(self, xs):
+        for x in xs:
+            assert list(witness_module._ascending_square_divisors(x)) == divisors_of_square(x), x
 
 
 class TestBuildSolution:
