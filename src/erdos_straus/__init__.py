@@ -43,6 +43,7 @@ from .scan import (
     HARD_RESIDUES_840,
     ScanRecord,
     ScanReport,
+    ScanStream,
     check_divisor_k_rule,
     check_k0_type1_rule,
     record_line,
@@ -95,6 +96,7 @@ __all__ = [
     "HARD_RESIDUES_840",
     "ScanRecord",
     "ScanReport",
+    "ScanStream",
     "record_line",
     "summary_line",
     "scan_primes",

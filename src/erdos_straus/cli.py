@@ -13,7 +13,7 @@ import contextlib
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import CorrespondenceError, DomainError
 from .oracle import DEFAULT_CAP, solve_bruteforce
@@ -27,10 +27,9 @@ from .report import (
     render_scatter,
 )
 from .scan import (
+    ScanStream,
     check_divisor_k_rule,
     check_k0_type1_rule,
-    record_line,
-    scan_primes,
     summary_line,
 )
 from .witness import (
@@ -56,24 +55,25 @@ def _witness_json(w: Witness) -> dict[str, Any]:
     return {"p": w.p, "x": w.x, "d": w.d, "k": w.k, "type": w.type.value}
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to path, replacing a regular file atomically.
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks of text to path, replacing a regular file atomically.
 
-    The text goes to a temp file in the target's directory and is then
-    renamed over it, so a failed write leaves any old file untouched.
+    The chunks go, one by one as the iterable yields them, to a temp
+    file in the target's directory, which is then renamed over the
+    target, so a failed write leaves any old file untouched.
     Something at path that is not a regular file (/dev/null, a pipe)
     is written in place, since renaming over it would replace it.
     """
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -127,20 +127,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     mode = "exhaustive" if args.exhaustive else "first-only"
-    report = scan_primes(args.lo, args.hi, mode=mode, workers=args.threads)
-    lines = "".join(record_line(r) + "\n" for r in report.records)
-    summary = summary_line(report, args.threads)
+    stream = ScanStream(args.lo, args.hi, mode=mode, workers=args.threads)
     if args.out:
-        _write_text(args.out, lines)
-        _write_text(args.out + ".summary.json", summary + "\n")
+        _write_text(args.out, stream)
+        report = stream.report
+        summary = summary_line(report, args.threads)
+        _write_text(args.out + ".summary.json", (summary + "\n",))
         print(
-            f"scanned {len(report.records)} primes in [{report.lo}, {report.hi}] "
+            f"scanned {report.prime_count} primes in [{report.lo}, {report.hi}] "
             f"({mode}), {len(report.counterexamples)} counterexample(s), "
             f"records -> {args.out}"
         )
     else:
-        sys.stdout.write(lines)
-        print(summary, file=sys.stderr)
+        sys.stdout.writelines(stream)
+        report = stream.report
+        print(summary_line(report, args.threads), file=sys.stderr)
     if report.counterexamples:
         print(
             f"counterexamples found: {list(report.counterexamples)}", file=sys.stderr
@@ -154,7 +155,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = k_table(args.hi, stype)
     text = k_table_csv(rows) if args.format == "csv" else k_table_json(rows) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, (text,))
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -164,10 +165,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     points = figure_points(args.hi)
     wrote = False
     if args.points_out:
-        _write_text(args.points_out, points_csv(points))
+        _write_text(args.points_out, (points_csv(points),))
         wrote = True
     if args.svg_out:
-        _write_text(args.svg_out, render_scatter(points))
+        _write_text(args.svg_out, (render_scatter(points),))
         wrote = True
     if not wrote:
         sys.stdout.write(points_csv(points))

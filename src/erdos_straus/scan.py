@@ -3,9 +3,10 @@
 A scan walks the primes of a range, records the first witness (and,
 in exhaustive mode, the full k sets and counts per type), tags each
 prime with its residues mod 24 and mod 840, and reports any prime
-with no witness at all as a counterexample. The range is chunked,
-each chunk is pure per-prime work, and chunk results are merged in
-order, so output is identical for any worker count.
+with no witness at all as a counterexample. The range of numbers is
+cut into chunks; each chunk's task sieves its own primes and does pure
+per-prime work, and chunk results are merged in order, so output is
+identical for any worker count.
 
 Also implements two structural rules observed to hold for the k = 0
 and divisor-k offsets, and residue-class statistics including the
@@ -20,16 +21,16 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
-from .arith import divisors, primes_in_range
+from .arith import _square_divisor_cache, divisors, primes_in_range
 from .errors import DomainError
 from .witness import (
     SolutionType,
     Witness,
     _ascending_square_divisors,
+    _first_witness_unchecked,
     _x_bounds,
-    first_witness,
     iter_witnesses,
 )
 
@@ -37,6 +38,7 @@ __all__ = [
     "HARD_RESIDUES_840",
     "ScanRecord",
     "ScanReport",
+    "ScanStream",
     "record_line",
     "summary_line",
     "scan_primes",
@@ -49,6 +51,7 @@ HARD_RESIDUES_840 = frozenset({1, 121, 169, 289, 361, 529})
 
 _MODES = ("first-only", "exhaustive")
 _HI_CAP = 1 << 32
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +74,11 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of one range scan; records ascend by p."""
+    """Outcome of one range scan; records ascend by p.
+
+    records is empty when the records were streamed as text instead
+    (ScanStream); prime_count counts the primes scanned either way.
+    """
 
     lo: int
     hi: int
@@ -80,6 +87,7 @@ class ScanReport:
     counterexamples: tuple[int, ...]
     residue_summary: dict[int, dict[str, Any]]
     elapsed: float
+    prime_count: int
 
 
 def _json_ints(values: Optional[tuple[int, ...]]) -> str:
@@ -117,7 +125,7 @@ def summary_line(report: ScanReport, workers: int) -> str:
         "hi": report.hi,
         "mode": report.mode,
         "workers": workers,
-        "prime_count": len(report.records),
+        "prime_count": report.prime_count,
         "counterexamples": list(report.counterexamples),
         "residue_summary": {str(k): v for k, v in report.residue_summary.items()},
         "elapsed_seconds": round(report.elapsed, 3),
@@ -140,9 +148,54 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _record_for_prime(p: int, mode: str) -> ScanRecord:
-    if mode == "first-only":
-        return ScanRecord(p, first_witness(p), None, None, None, p % 24, p % 840)
+def _check_scan(lo: int, hi: int, mode: str, workers: int) -> None:
+    if mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+    _check_range(lo, hi)
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+
+
+# Widest chunk of numbers one scan task covers. A task's records are
+# built, formatted and handed back whole, so this bounds the memory a
+# chunk holds (about 8,000 primes per chunk near 10**7).
+_SPAN = 1 << 17
+
+# Chunks per pool process. The cost of a prime grows with p, steeply in
+# exhaustive mode, so equal-width chunks are not equal work; many small
+# ones let the pool even out the load. On 2 CPUs, 16 against 4 took
+# `scan 2 10000 --exhaustive` from 3.1 s to 2.9 s and left first-only
+# `scan 2 499999` at 0.63 s (medians of 5).
+_CHUNKS_PER_PROCESS = 16
+
+
+def _chunk_bounds(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """[lo, hi] cut into about `parts` contiguous pieces, none wider than _SPAN."""
+    step = min(_SPAN, -(-(hi - lo + 1) // parts))
+    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
+
+
+def _run_chunks(
+    task: Callable[[tuple[int, int, str]], _T], lo: int, hi: int, mode: str, workers: int
+) -> Iterator[_T]:
+    """task applied to each chunk of [lo, hi], results in chunk order.
+
+    One worker, or a range that makes one chunk, runs in process.
+    Otherwise the chunks go to a pool of at most one process per usable
+    CPU, and each result is yielded as soon as it and every chunk
+    before it are done.
+    """
+    processes = min(workers, _usable_cpus())
+    parts = 1 if workers == 1 else _CHUNKS_PER_PROCESS * processes
+    chunks = [(a, b, mode) for a, b in _chunk_bounds(lo, hi, parts)]
+    if workers == 1 or len(chunks) == 1:
+        yield from map(task, chunks)
+        return
+    with Pool(processes=processes) as pool:
+        yield from pool.imap(task, chunks)
+
+
+def _exhaustive_record(p: int) -> ScanRecord:
     first: Optional[Witness] = None
     k1: set[int] = set()
     k2: set[int] = set()
@@ -161,81 +214,155 @@ def _record_for_prime(p: int, mode: str) -> ScanRecord:
     )
 
 
-def _scan_chunk(args: tuple[tuple[int, ...], str]) -> list[ScanRecord]:
-    """Worker task: pure, order-preserving, picklable."""
-    primes, mode = args
-    return [_record_for_prime(p, mode) for p in primes]
+def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
+    """Worker task: the records of the primes in [lo, hi], ascending.
+
+    The primes come from the sieve, so the first-only search skips the
+    primality check that the public first_witness makes.
+    """
+    lo, hi, mode = task
+    primes = primes_in_range(lo, hi)
+    if mode == "first-only":
+        return [
+            ScanRecord(p, _first_witness_unchecked(p), None, None, None, p % 24, p % 840)
+            for p in primes
+        ]
+    return [_exhaustive_record(p) for p in primes]
 
 
-def _summarize(records: tuple[ScanRecord, ...], modulus: int) -> dict[int, dict[str, Any]]:
-    classes: dict[int, list[ScanRecord]] = {}
+# A tally maps each residue class to [count, with_witness, k0_type1,
+# min_total, max_total]; the last three are None once a record of the
+# class has no witness counts (a first-only record).
+_Tally = dict[int, list]
+
+
+def _tally(records: Iterable[ScanRecord], modulus: int) -> _Tally:
+    tally: _Tally = {}
     for r in records:
-        classes.setdefault(r.p % modulus, []).append(r)
-    summary: dict[int, dict[str, Any]] = {}
-    for residue in sorted(classes):
-        rs = classes[residue]
-        entry: dict[str, Any] = {
-            "count": len(rs),
-            "with_witness": sum(1 for r in rs if r.first is not None),
-        }
-        if all(r.witness_count_by_type is not None for r in rs):
-            totals = [sum(r.witness_count_by_type) for r in rs]
-            k0 = sum(1 for r in rs if 0 in r.type1_k_set)
-            entry["k0_type1_fraction"] = k0 / len(rs)
-            entry["min_witness_count"] = min(totals)
-            entry["max_witness_count"] = max(totals)
+        residue = r.p % modulus
+        entry = tally.get(residue)
+        if entry is None:
+            entry = tally[residue] = [0, 0, 0, None, None]
+        entry[0] += 1
+        entry[1] += r.first is not None
+        counts = r.witness_count_by_type
+        if counts is None:
+            entry[2:] = [None, None, None]
+        elif entry[2] is not None:
+            total = counts[0] + counts[1]
+            entry[2] += 0 in r.type1_k_set
+            entry[3] = total if entry[3] is None else min(entry[3], total)
+            entry[4] = total if entry[4] is None else max(entry[4], total)
+    return tally
+
+
+def _merge_tally(into: _Tally, part: _Tally) -> None:
+    for residue, (count, with_witness, k0, lo, hi) in part.items():
+        entry = into.get(residue)
+        if entry is None:
+            into[residue] = [count, with_witness, k0, lo, hi]
+            continue
+        entry[0] += count
+        entry[1] += with_witness
+        if entry[2] is None or k0 is None:
+            entry[2:] = [None, None, None]
         else:
-            entry["k0_type1_fraction"] = None
-            entry["min_witness_count"] = None
-            entry["max_witness_count"] = None
-        entry["hard"] = modulus == 840 and residue in HARD_RESIDUES_840
-        summary[residue] = entry
+            entry[2:] = [entry[2] + k0, min(entry[3], lo), max(entry[4], hi)]
+
+
+def _finish_tally(tally: _Tally, modulus: int) -> dict[int, dict[str, Any]]:
+    """The residue summary of a tally; each fraction is divided here, once."""
+    summary: dict[int, dict[str, Any]] = {}
+    for residue in sorted(tally):
+        count, with_witness, k0, lo, hi = tally[residue]
+        summary[residue] = {
+            "count": count,
+            "with_witness": with_witness,
+            "k0_type1_fraction": None if k0 is None else k0 / count,
+            "min_witness_count": lo,
+            "max_witness_count": hi,
+            "hard": modulus == 840 and residue in HARD_RESIDUES_840,
+        }
     return summary
+
+
+def _summarize(records: Iterable[ScanRecord], modulus: int) -> dict[int, dict[str, Any]]:
+    return _finish_tally(_tally(records, modulus), modulus)
+
+
+def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
+    """Worker task: a chunk's record lines, its tally mod 24 and its counterexamples."""
+    records = _chunk_records(task)
+    text = "".join([record_line(r) + "\n" for r in records])
+    return text, _tally(records, 24), [r.p for r in records if r.first is None]
 
 
 def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) -> ScanReport:
     """Scan every prime in [lo, hi]; see the module docstring.
 
-    workers > 1 splits the prime list into about 4 * workers contiguous
-    chunks and maps them over a process pool of at most one process
-    per usable CPU; the merged result is byte-for-byte the same as a
-    single-worker run.
+    workers > 1 maps range chunks over a process pool of at most one
+    process per usable CPU (see _run_chunks); the merged result is the
+    same as a single-worker run.
     """
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    _check_range(lo, hi)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    _check_scan(lo, hi, mode, workers)
     start = time.perf_counter()
-    primes = primes_in_range(lo, hi)
-    if workers == 1 or len(primes) < 2 * workers:
-        records = _scan_chunk((tuple(primes), mode))
-    else:
-        chunk_count = min(len(primes), workers * 4)
-        step = -(-len(primes) // chunk_count)
-        tasks = [
-            (tuple(primes[i : i + step]), mode) for i in range(0, len(primes), step)
-        ]
-        with Pool(processes=min(workers, _usable_cpus())) as pool:
-            records = [r for chunk in pool.map(_scan_chunk, tasks) for r in chunk]
-    rec_tuple = tuple(records)
-    counterexamples = tuple(r.p for r in rec_tuple if r.first is None)
-    elapsed = time.perf_counter() - start
+    records = tuple(
+        r for chunk in _run_chunks(_chunk_records, lo, hi, mode, workers) for r in chunk
+    )
     return ScanReport(
         lo=lo,
         hi=hi,
         mode=mode,
-        records=rec_tuple,
-        counterexamples=counterexamples,
-        residue_summary=_summarize(rec_tuple, 24),
-        elapsed=elapsed,
+        records=records,
+        counterexamples=tuple(r.p for r in records if r.first is None),
+        residue_summary=_summarize(records, 24),
+        elapsed=time.perf_counter() - start,
+        prime_count=len(records),
     )
 
 
-def _has_type1_witness_at(p: int, x: int) -> bool:
+class ScanStream:
+    """One scan's record lines as finished text, chunk by chunk, in order.
+
+    Iterating runs the scan on the engine scan_primes uses, but each
+    task formats its own records (record_line plus a newline) and
+    tallies them, so no ScanRecord leaves the process that built it,
+    and a chunk's text is kept only until it has been yielded. Once iteration
+    ends, `report` is the scan's ScanReport: records=(), and the
+    prime count, counterexamples and residue summary merged from the
+    chunk tallies, equal to scan_primes' for the same range.
+    """
+
+    def __init__(self, lo: int, hi: int, mode: str = "first-only", workers: int = 1) -> None:
+        _check_scan(lo, hi, mode, workers)
+        self.lo, self.hi, self.mode, self.workers = lo, hi, mode, workers
+        self.report: Optional[ScanReport] = None
+
+    def __iter__(self) -> Iterator[str]:
+        start = time.perf_counter()
+        tally: _Tally = {}
+        counterexamples: list[int] = []
+        chunks = _run_chunks(_chunk_text, self.lo, self.hi, self.mode, self.workers)
+        for text, part, missing in chunks:
+            yield text
+            _merge_tally(tally, part)
+            counterexamples.extend(missing)
+        self.report = ScanReport(
+            lo=self.lo,
+            hi=self.hi,
+            mode=self.mode,
+            records=(),
+            counterexamples=tuple(counterexamples),
+            residue_summary=_finish_tally(tally, 24),
+            elapsed=time.perf_counter() - start,
+            prime_count=sum(entry[0] for entry in tally.values()),
+        )
+
+
+def _has_type1_witness_at(p: int, x: int, divisors_of_xx: Iterable[int]) -> bool:
     q = 4 * x - p
     target = (-p * x) % q
-    for d in _ascending_square_divisors(x):
+    for d in divisors_of_xx:
         if d % q == target:
             return True
     return False
@@ -249,7 +376,8 @@ def check_k0_type1_rule(hi: int) -> list[int]:
     for p in primes_in_range(3, hi):
         if p % 24 == 1:
             continue
-        if not _has_type1_witness_at(p, _x_bounds(p)[0]):
+        x = _x_bounds(p)[0]
+        if not _has_type1_witness_at(p, x, _ascending_square_divisors(x)):
             violations.append(p)
     return violations
 
@@ -268,7 +396,7 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
         for k in divisors(m):
             if k > k_max:
                 break
-            if not _has_type1_witness_at(p, m + k):
+            if not _has_type1_witness_at(p, m + k, _square_divisor_cache(m + k)):
                 violations.append((p, k))
     return violations
 
@@ -284,4 +412,6 @@ def residue_stats(report: ScanReport, modulus: int) -> dict[int, dict[str, Any]]
         raise DomainError(f"modulus must be >= 2, got {modulus}")
     if report.mode != "exhaustive":
         raise DomainError("residue_stats needs an exhaustive-mode report")
+    if len(report.records) != report.prime_count:
+        raise DomainError("residue_stats needs a report that kept its records")
     return _summarize(report.records, modulus)

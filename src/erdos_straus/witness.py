@@ -172,6 +172,15 @@ def first_witness(p: int) -> Optional[Witness]:
     factored only when no small divisor is a witness at that x.
     """
     _require_prime(p)
+    return _first_witness_unchecked(p)
+
+
+def _first_witness_unchecked(p: int) -> Optional[Witness]:
+    """first_witness without the primality check.
+
+    Only for p already proven prime, such as the primes a scan sieved;
+    on a composite p the result means nothing.
+    """
     lo, hi = _x_bounds(p)
     for x in range(lo, hi + 1):
         q = 4 * x - p

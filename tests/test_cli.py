@@ -107,6 +107,35 @@ class TestScan:
         capsys.readouterr()
         assert files[0] == files[1] == files[2]
 
+    @staticmethod
+    def scan_outputs(tmp_path, lo, hi, threads):
+        """Record bytes and summary (bar elapsed_seconds) of one first-only CLI scan."""
+        out = tmp_path / f"scan_{lo}_{hi}_t{threads}.jsonl"
+        argv = ["scan", str(lo), str(hi), "--threads", str(threads), "--out", str(out)]
+        assert main(argv) == 0
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
+        del summary["elapsed_seconds"]
+        assert summary["workers"] == threads
+        summary["workers"] = None
+        return out.read_bytes(), summary
+
+    @pytest.mark.parametrize("lo, hi", [(2, 3000), (65_521, 70_001)])
+    def test_first_only_identical_across_threads(self, tmp_path, capsys, lo, hi):
+        # 65521 and 70001 are primes, and the range straddles 2**16,
+        # where the sieve switches to its segmented path.
+        outputs = [self.scan_outputs(tmp_path, lo, hi, t) for t in (1, 2, 3)]
+        capsys.readouterr()
+        assert outputs[0][0].startswith(b'{"first":') and outputs[0][0].endswith(b"}\n")
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_many_small_chunks_identical(self, monkeypatch, tmp_path, capsys):
+        expected = self.scan_outputs(tmp_path, 65_521, 70_001, 1)
+        monkeypatch.setattr(scan_module, "_SPAN", 97)
+        assert len(scan_module._chunk_bounds(65_521, 70_001, 1)) == 47
+        for threads in (1, 3):
+            assert self.scan_outputs(tmp_path, 65_521, 70_001, threads) == expected
+        capsys.readouterr()
+
     def test_io_failure(self, tmp_path, capsys):
         missing_dir = tmp_path / "absent" / "scan.jsonl"
         assert main(["scan", "2", "30", "--out", str(missing_dir)]) == 4
@@ -168,7 +197,7 @@ class TestScan:
     def test_counterexample_exit_code(self, monkeypatch, tmp_path, capsys):
         # No real counterexample exists in reach, so fabricate one to
         # pin the exit-code path.
-        monkeypatch.setattr(scan_module, "first_witness", lambda p: None)
+        monkeypatch.setattr(scan_module, "_first_witness_unchecked", lambda p: None)
         out = tmp_path / "scan.jsonl"
         assert main(["scan", "2", "30", "--out", str(out)]) == 3
         err = capsys.readouterr().err

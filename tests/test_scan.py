@@ -10,11 +10,14 @@ from erdos_straus import (
     HARD_RESIDUES_840,
     DomainError,
     ScanRecord,
+    ScanStream,
     SolutionType,
     check_divisor_k_rule,
     check_k0_type1_rule,
     divisors,
     enumerate_witnesses,
+    first_witness,
+    primes_in_range,
     record_line,
     residue_stats,
     scan_primes,
@@ -92,6 +95,14 @@ class TestScanFirstOnly:
             assert (a.first is None) == (b.first is None)
             assert a.first == b.first
 
+    def test_unchecked_core_matches_public_first_witness(self):
+        # The scan searches sieved primes through the core that skips
+        # the primality check; it must find what first_witness finds.
+        report = scan_primes(2, 30_000)
+        assert [r.p for r in report.records] == primes_in_range(2, 30_000)
+        for r in report.records:
+            assert r.first == first_witness(r.p), r.p
+
     def test_summary_stats_unknown(self):
         report = scan_primes(2, 100, mode="first-only")
         for entry in report.residue_summary.values():
@@ -146,6 +157,102 @@ class TestRecordLine:
         assert summary_line(report, 3) == json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
+class TestScanStream:
+    @pytest.mark.parametrize("mode", ["first-only", "exhaustive"])
+    def test_text_and_report_match_scan_primes(self, mode):
+        report = scan_primes(2, 1500, mode=mode)
+        stream = ScanStream(2, 1500, mode=mode)
+        assert stream.report is None
+        text = "".join(stream)
+        assert text == "".join(record_line(r) + "\n" for r in report.records)
+        streamed = stream.report
+        assert streamed.records == ()
+        assert streamed.prime_count == report.prime_count == len(report.records)
+        assert streamed.counterexamples == report.counterexamples
+        assert streamed.residue_summary == report.residue_summary
+        summaries = [json.loads(summary_line(r, 1)) for r in (streamed, report)]
+        for summary in summaries:
+            del summary["elapsed_seconds"]
+        assert summaries[0] == summaries[1]
+
+    def test_arguments_checked_before_iteration(self):
+        with pytest.raises(DomainError):
+            ScanStream(9, 2)
+        with pytest.raises(DomainError):
+            ScanStream(2, 10, workers=0)
+
+    def test_residue_stats_refuses_streamed_report(self):
+        stream = ScanStream(2, 100, mode="exhaustive")
+        "".join(stream)
+        with pytest.raises(DomainError):
+            residue_stats(stream.report, 24)
+
+    def test_chunks_cover_range_in_order(self, monkeypatch):
+        monkeypatch.setattr(scan_module, "_SPAN", 7)
+        for lo, hi, parts in [(2, 2, 1), (2, 100, 1), (5, 100, 8), (65_521, 70_001, 12)]:
+            bounds = scan_module._chunk_bounds(lo, hi, parts)
+            assert bounds[0][0] == lo and bounds[-1][1] == hi
+            assert all(b[0] == a[1] + 1 for a, b in zip(bounds, bounds[1:]))
+            assert all(0 <= b - a < 7 for a, b in bounds)
+
+
+def reference_summary(records, modulus):
+    """The residue summary computed class by class from whole records."""
+    classes = {}
+    for r in records:
+        classes.setdefault(r.p % modulus, []).append(r)
+    summary = {}
+    for residue in sorted(classes):
+        rs = classes[residue]
+        entry = {
+            "count": len(rs),
+            "with_witness": sum(1 for r in rs if r.first is not None),
+            "k0_type1_fraction": None,
+            "min_witness_count": None,
+            "max_witness_count": None,
+            "hard": modulus == 840 and residue in HARD_RESIDUES_840,
+        }
+        if all(r.witness_count_by_type is not None for r in rs):
+            totals = [sum(r.witness_count_by_type) for r in rs]
+            entry["k0_type1_fraction"] = sum(1 for r in rs if 0 in r.type1_k_set) / len(rs)
+            entry["min_witness_count"] = min(totals)
+            entry["max_witness_count"] = max(totals)
+        summary[residue] = entry
+    return summary
+
+
+class TestTally:
+    """Chunk tallies merged in the parent give the whole range's summary."""
+
+    @pytest.fixture(scope="class")
+    def exhaustive(self):
+        return scan_primes(2, 1500, mode="exhaustive").records
+
+    @staticmethod
+    def merged_at(records, cut, modulus):
+        tally = scan_module._tally(records[:cut], modulus)
+        scan_module._merge_tally(tally, scan_module._tally(records[cut:], modulus))
+        return scan_module._finish_tally(tally, modulus)
+
+    @pytest.mark.parametrize("modulus", [24, 840])
+    def test_every_cut_of_exhaustive_records(self, exhaustive, modulus):
+        expected = reference_summary(exhaustive, modulus)
+        assert scan_module._summarize(exhaustive, modulus) == expected
+        for cut in range(len(exhaustive) + 1):
+            assert self.merged_at(exhaustive, cut, modulus) == expected, cut
+
+    def test_first_only_and_mixed_records(self, exhaustive):
+        # A class with any first-only record has no witness statistics.
+        first_only = scan_primes(2, 1500).records
+        mixed = tuple(
+            a if i % 5 else b for i, (a, b) in enumerate(zip(exhaustive, first_only))
+        )
+        for records in (first_only, mixed):
+            expected = reference_summary(records, 24)
+            for cut in range(0, len(records) + 1, 7):
+                assert self.merged_at(records, cut, 24) == expected, cut
+
+
 class TestScanParallel:
     def test_worker_counts_agree(self):
         base = scan_primes(2, 1500, mode="exhaustive", workers=1)
@@ -175,8 +282,8 @@ class TestScanParallel:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
+            def imap(self, fn, tasks):
+                return (fn(t) for t in tasks)
 
         monkeypatch.setattr(scan_module, "Pool", SerialPool)
         return sizes
@@ -186,6 +293,17 @@ class TestScanParallel:
         multi = scan_primes(2, 5000, mode="first-only", workers=300)
         assert pool_sizes == [min(300, scan_module._usable_cpus())]
         assert base.records == multi.records
+
+    def test_counterexample_exit_code_pooled(self, pool_sizes, monkeypatch, tmp_path, capsys):
+        # The same fabricated counterexamples as the CLI test, through the pool.
+        monkeypatch.setattr(scan_module, "_first_witness_unchecked", lambda p: None)
+        out = tmp_path / "scan.jsonl"
+        assert main(["scan", "2", "30", "--threads", "2", "--out", str(out)]) == 3
+        assert "counterexamples" in capsys.readouterr().err
+        assert pool_sizes == [min(2, scan_module._usable_cpus())]
+        summary = json.loads(Path(f"{out}.summary.json").read_text())
+        assert summary["counterexamples"] == primes_in_range(2, 30)
+        assert all(json.loads(line)["first"] is None for line in out.read_text().splitlines())
 
     def test_cli_keeps_requested_workers(self, pool_sizes, tmp_path, capsys):
         outs = {}

@@ -135,6 +135,12 @@ class TestFirstWitness:
                 fallback.append(p)
         assert fallback
 
+    def test_public_function_rejects_non_primes(self):
+        # Only the scan's private core skips the primality check.
+        for n in (1, 4, 91, 65_537 * 65_539, -7):
+            with pytest.raises(DomainError):
+                first_witness(n)
+
 
 class TestAscendingSquareDivisors:
     @pytest.mark.parametrize("xs", [range(1, 5001), [720_720, 2**31 - 1]])
