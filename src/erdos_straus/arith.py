@@ -232,10 +232,16 @@ def divisors(n: int) -> list[int]:
     return _expand_divisors(factorize(n).factors)
 
 
-@lru_cache(maxsize=1 << 16)
-def _square_divisor_cache(x: int) -> tuple[int, ...]:
+def _square_divisors(x: int) -> tuple[int, ...]:
+    """Divisors of x*x ascending, via doubled exponents of factorize(x)."""
     doubled = tuple((p, 2 * e) for p, e in factorize(x).factors)
     return tuple(_expand_divisors(doubled))
+
+
+# Cached for the callers that revisit x: `compare` enumerates every x of
+# each prime and hits about 98% of the time. A first-only search visits
+# each x about once, so it reads _square_divisors uncached.
+_square_divisor_cache = lru_cache(maxsize=1 << 16)(_square_divisors)
 
 
 def divisors_of_square(x: int) -> list[int]:

@@ -8,10 +8,11 @@ cut into chunks; each chunk's task sieves its own primes and does pure
 per-prime work, and chunk results are merged in order, so output is
 identical for any worker count.
 
-Also implements two structural rules observed to hold for the k = 0
-and divisor-k offsets, and residue-class statistics including the
-six classes mod 840 = {1, 121, 169, 289, 361, 529} that the known
-polynomial identities do not cover.
+Also checks two structural rules for the k = 0 and divisor-k offsets,
+each against a closed-form type I witness before any divisor walk,
+and computes residue-class statistics including the six classes
+mod 840 = {1, 121, 169, 289, 361, 529} that the known polynomial
+identities do not cover.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
-from .arith import _square_divisor_cache, divisors, primes_in_range
+from .arith import divisors, primes_in_range
 from .errors import DomainError
 from .witness import (
     SolutionType,
@@ -359,44 +360,69 @@ class ScanStream:
         )
 
 
-def _has_type1_witness_at(p: int, x: int, divisors_of_xx: Iterable[int]) -> bool:
+def _type1_candidates(x: int, k: int) -> tuple[int, ...]:
+    """Closed-form type I witnesses d for the rules, tried at x = ceil(p/4) + k.
+
+    k = 0, p % 24 != 1: q = 4x - p is 1 when p % 4 == 3, so d = 1 works.
+    Otherwise q = 3 and -p*x = 2 (mod 3), met by d = 2 when p % 24 is 5
+    or 13 (x is even) and by d = x when p % 24 == 17 (x = 2 mod 3).
+
+    k | m with p = 4m - 1: q = 4k + 1, so 4k = -1 and p = 4x (mod q),
+    and -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.
+    """
+    return (1, 2, x) if k == 0 else (x * x // k,)
+
+
+def _has_type1_witness_at(p: int, x: int, candidates: Iterable[int]) -> bool:
+    """True iff some d | x*x has d = -p*x (mod 4x - p).
+
+    Each candidate is checked exactly, and one that does not divide x*x
+    is skipped. Only if none passes are the divisors of x*x walked, so
+    False means every divisor failed.
+    """
     q = 4 * x - p
     target = (-p * x) % q
-    for d in divisors_of_xx:
-        if d % q == target:
+    xx = x * x
+    for d in candidates:
+        if xx % d == 0 and d % q == target:
             return True
-    return False
+    return any(d % q == target for d in _ascending_square_divisors(x))
+
+
+def _check_rule_range(hi: int) -> None:
+    if hi < 3:
+        raise DomainError(f"need hi >= 3, got hi={hi}")
+    _check_range(3, hi)
 
 
 def check_k0_type1_rule(hi: int) -> list[int]:
     """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
     the smallest x. Expected empty."""
-    _check_range(3, hi)
+    _check_rule_range(hi)
     violations = []
     for p in primes_in_range(3, hi):
         if p % 24 == 1:
             continue
         x = _x_bounds(p)[0]
-        if not _has_type1_witness_at(p, x, _ascending_square_divisors(x)):
+        if not _has_type1_witness_at(p, x, _type1_candidates(x, 0)):
             violations.append(p)
     return violations
 
 
 def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
-    """Pairs (p, k) with p <= hi, p % 4 == 3, k a divisor of ceil(p/4)
-    inside the k range, and no type I witness at x = ceil(p/4) + k.
-    Expected empty."""
-    _check_range(3, hi)
+    """Pairs (p, k) with p <= hi, p % 4 == 3, k a divisor of m = ceil(p/4),
+    and no type I witness at x = m + k. Expected empty.
+
+    Every such k lies in the k range, whose top is ceil(p/2) - m = m.
+    """
+    _check_rule_range(hi)
     violations = []
     for p in primes_in_range(3, hi):
         if p % 4 != 3:
             continue
-        m, x_hi = _x_bounds(p)
-        k_max = x_hi - m
+        m = _x_bounds(p)[0]
         for k in divisors(m):
-            if k > k_max:
-                break
-            if not _has_type1_witness_at(p, m + k, _square_divisor_cache(m + k)):
+            if not _has_type1_witness_at(p, m + k, _type1_candidates(m + k, k)):
                 violations.append((p, k))
     return violations
 

@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional
 
-from .arith import _square_divisor_cache, is_prime
+from .arith import _square_divisor_cache, _square_divisors, is_prime
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -89,19 +89,18 @@ def _require_prime(p: int) -> None:
 # 39,215 of 41,538 use d in {1, 2, 4, 5}), so early-exit searches rarely
 # build the full divisor list. Timed on 2..499999, the first-witness
 # search costs the same for limits from 8 to 128 and factors fewer x
-# as the limit grows, while the divisor-k rule, whose witnesses mostly
-# lie past the probe, pays for every probe; 64 balances the two.
+# as the limit grows; 64 lies inside that flat range.
 _PROBE_LIMIT = 64
 
 
 def _ascending_square_divisors(x: int) -> Iterator[int]:
-    """Divisors of x*x ascending; x is factored only past _PROBE_LIMIT."""
+    """Divisors of x*x ascending; x is factored, uncached, only past _PROBE_LIMIT."""
     xx = x * x
     for d in range(1, min(xx, _PROBE_LIMIT) + 1):
         if xx % d == 0:
             yield d
     if xx > _PROBE_LIMIT:
-        divs = _square_divisor_cache(x)
+        divs = _square_divisors(x)
         yield from islice(divs, bisect_right(divs, _PROBE_LIMIT), None)
 
 

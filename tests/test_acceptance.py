@@ -174,12 +174,12 @@ def test_acceptance_every_prime_below_one_million_has_witness(tmp_path):
 
 def test_acceptance_k0_and_divisor_rules_hold():
     start = time.perf_counter()
-    k0_violations = check_k0_type1_rule(100_000)
-    divisor_violations = check_divisor_k_rule(10_000)
+    k0_violations = check_k0_type1_rule(1_000_000)
+    divisor_violations = check_divisor_k_rule(1_000_000)
     elapsed = time.perf_counter() - start
     ok = not k0_violations and not divisor_violations and elapsed < 120.0
     verdict(
-        "k=0 rule to 10**5 and divisor-k rule to 10**4 have no violations (< 2 min)",
+        "k=0 and divisor-k rules to 10**6 have no violations (< 2 min)",
         ok,
         f"{elapsed:.1f}s",
     )

@@ -14,7 +14,9 @@ from erdos_straus import (
     SolutionType,
     check_divisor_k_rule,
     check_k0_type1_rule,
+    check_type1,
     divisors,
+    divisors_of_square,
     enumerate_witnesses,
     first_witness,
     primes_in_range,
@@ -356,15 +358,125 @@ class TestRules:
         assert {0, 1, 5} <= ks19
 
     def test_domain_guards(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^need hi >= 3, got hi=2$"):
             check_k0_type1_rule(2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^need hi >= 3, got hi=1$"):
             check_divisor_k_rule(1)
         # Above the scan cap both rules refuse before sieving anything.
         with pytest.raises(DomainError):
             check_k0_type1_rule((1 << 32) + 1)
         with pytest.raises(DomainError):
             check_divisor_k_rule((1 << 32) + 1)
+
+
+def k0_rule_primes(hi):
+    return [p for p in primes_in_range(3, hi) if p % 24 != 1]
+
+
+def divisor_k_rule_pairs(hi):
+    """(p, k, x) for p % 4 == 3 and k | m = ceil(p/4); k <= m is the whole k range."""
+    pairs = []
+    for p in primes_in_range(3, hi):
+        if p % 4 == 3:
+            m = (p + 1) // 4
+            pairs.extend((p, k, m + k) for k in divisors(m))
+    return pairs
+
+
+def full_walk_has_type1(p, x):
+    q = 4 * x - p
+    return any((p * x + d) % q == 0 for d in divisors_of_square(x))
+
+
+def full_walk_k0_rule(hi):
+    """The k = 0 rule as a walk over every divisor of x*x."""
+    return [p for p in k0_rule_primes(hi) if not full_walk_has_type1(p, (p + 3) // 4)]
+
+
+def full_walk_divisor_k_rule(hi):
+    """The divisor-k rule as a walk over every divisor of x*x."""
+    return [(p, k) for p, k, x in divisor_k_rule_pairs(hi) if not full_walk_has_type1(p, x)]
+
+
+class TestRuleCertificates:
+    """The closed-form witnesses the rules try before walking divisors."""
+
+    def test_k0_identity_for_every_eligible_prime(self):
+        # q = 1 for p % 4 == 3; otherwise q = 3 and -p*x = 2 (mod 3).
+        for p in k0_rule_primes(200_000):
+            x = (p + 3) // 4
+            d = 1 if p % 4 == 3 else 2 if p % 24 in (5, 13) else x
+            assert check_type1(p, x, d), p
+
+    def test_divisor_k_identity_for_every_pair(self):
+        # q = 4k + 1 and -p*x = x*x/k (mod q).
+        count = 0
+        for p, k, x in divisor_k_rule_pairs(200_000):
+            assert x * x % k == 0
+            assert check_type1(p, x, x * x // k), (p, k)
+            count += 1
+        assert count > 100_000
+
+    def test_candidates_are_the_identities(self):
+        assert scan_module._type1_candidates(5, 0) == (1, 2, 5)
+        assert scan_module._type1_candidates(12, 3) == (48,)
+
+    def test_rules_equal_the_full_walk(self):
+        assert check_k0_type1_rule(20_000) == full_walk_k0_rule(20_000)
+        assert check_divisor_k_rule(20_000) == full_walk_divisor_k_rule(20_000)
+
+    def test_witness_test_equals_the_full_walk_at_every_x(self):
+        # Unlike the rules' own x, the whole x range has misses (73 at x = 19).
+        misses = 0
+        for p in primes_in_range(3, 1500):
+            lo, hi = (p + 3) // 4, (p + 1) // 2
+            for x in range(lo, hi + 1):
+                expected = full_walk_has_type1(p, x)
+                misses += not expected
+                got = scan_module._has_type1_witness_at(p, x, (1, 2, x, x * x + 1))
+                assert got == expected, (p, x)
+        assert misses > 0
+        assert not scan_module._has_type1_witness_at(73, 19, (1, 2, 19))
+
+    def test_failed_candidate_falls_back_to_the_walk(self):
+        # p = 5, x = 2: q = 3 and the target is 2; d = 1 divides 4 but misses.
+        assert scan_module._has_type1_witness_at(5, 2, (1,))
+        assert scan_module._has_type1_witness_at(5, 2, ())
+
+    def test_fallback_finds_witnesses_when_candidates_fail(self, monkeypatch):
+        # Candidates that never divide x*x: every witness comes from the walk.
+        walked = []
+        walk = scan_module._ascending_square_divisors
+
+        def counting_walk(x):
+            walked.append(x)
+            return walk(x)
+
+        monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: (x * x + 1, 2 * x * x))
+        monkeypatch.setattr(scan_module, "_ascending_square_divisors", counting_walk)
+        assert check_k0_type1_rule(3000) == []
+        assert len(walked) == len(k0_rule_primes(3000))
+        walked.clear()
+        assert check_divisor_k_rule(3000) == []
+        assert len(walked) == len(divisor_k_rule_pairs(3000))
+
+    def test_non_divisors_never_certify(self, monkeypatch):
+        # 4k + 3 consecutive values above x*x cover every residue mod q,
+        # yet none divides x*x, so with no walk every case is a violation.
+        monkeypatch.setattr(
+            scan_module, "_type1_candidates", lambda x, k: tuple(range(x * x + 1, x * x + 4 * k + 4))
+        )
+        monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
+        assert check_k0_type1_rule(500) == k0_rule_primes(500)
+        assert check_divisor_k_rule(500) == [(p, k) for p, k, _ in divisor_k_rule_pairs(500)]
+
+    def test_no_candidates_and_no_walk_lists_everything(self, monkeypatch, capsys):
+        monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: ())
+        monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
+        assert check_k0_type1_rule(2000) == k0_rule_primes(2000)
+        assert check_divisor_k_rule(2000) == [(p, k) for p, k, _ in divisor_k_rule_pairs(2000)]
+        assert main(["properties", "200"]) == 5
+        assert "VIOLATION p=199 k=1" in capsys.readouterr().out
 
 
 class TestResidueStats:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import erdos_straus.arith as arith_module
 import erdos_straus.witness as witness_module
 from erdos_straus import (
     ConsistencyError,
@@ -147,6 +148,19 @@ class TestAscendingSquareDivisors:
     def test_matches_divisors_of_square(self, xs):
         for x in xs:
             assert list(witness_module._ascending_square_divisors(x)) == divisors_of_square(x), x
+
+    def test_first_witness_search_leaves_the_divisor_cache_alone(self):
+        # Past the probe, x is factored uncached; only enumeration and
+        # divisors_of_square fill the cache.
+        cache = arith_module._square_divisor_cache
+        cache.cache_clear()
+        for p in primes_in_range(2, 3000):
+            first_witness(p)
+        assert list(witness_module._ascending_square_divisors(720_720))
+        assert cache.cache_info().currsize == 0
+        enumerate_witnesses(97)
+        divisors_of_square(720_720)
+        assert cache.cache_info().currsize > 0
 
 
 class TestBuildSolution:
