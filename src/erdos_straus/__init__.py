@@ -27,6 +27,7 @@ from .errors import (
 from .oracle import DEFAULT_CAP, solve_bruteforce
 from .recover import (
     check_correspondence,
+    check_correspondences,
     classify_solution,
     recover_witness,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "classify_solution",
     "recover_witness",
     "check_correspondence",
+    "check_correspondences",
     "KTableRow",
     "k_table",
     "k_table_csv",

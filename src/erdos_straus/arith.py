@@ -3,14 +3,15 @@
 Everything here is deterministic and exact. Primality uses fixed
 Miller-Rabin witness tiers that are proven complete below
 3_317_044_064_679_887_385_961_981 (about 2**81.3); no probabilistic
-answers are ever returned.
+answers are ever returned. Factorization is trial division by the
+primes below 2**16, complete for n < 65537**2; past that bound it and
+everything built on it raise DomainError. Nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator
 
 from .errors import DomainError
@@ -138,57 +139,19 @@ class Factorization:
         return iter(self.factors)
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, deterministic Brent cycle.
-
-    The additive constant walks 1, 2, 3, ... so runs are reproducible.
-    """
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        y, m = 2, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1
-
-
-def _factor_large(n: int, out: list[int]) -> None:
-    """Append the prime factors of n (no factor below the sieve limit)."""
-    if n == 1:
-        return
-    if is_prime(n):
-        out.append(n)
-        return
-    d = _brent_rho(n)
-    _factor_large(d, out)
-    _factor_large(n // d, out)
+# After division by every prime below 2**16 (the last is 65521), a
+# cofactor below 65537**2 is 1 or a prime. Scans stop at p <= 2**32,
+# so every x they factor is below this bound.
+_FACTOR_BOUND = 65_537**2
 
 
 def factorize(n: int) -> Factorization:
-    """Full prime-power factorization of n >= 1."""
-    if n < 1:
-        raise DomainError(f"factorize expects n >= 1, got {n}")
+    """Full prime-power factorization of 1 <= n < 65537**2, by trial division.
+
+    Raises DomainError past that bound rather than factoring further.
+    """
+    if not 1 <= n < _FACTOR_BOUND:
+        raise DomainError(f"factorize expects 1 <= n < 65537**2, got {n}")
     pairs: list[tuple[int, int]] = []
     m = n
     for p in _SMALL_PRIMES:
@@ -201,16 +164,7 @@ def factorize(n: int) -> Factorization:
                 e += 1
             pairs.append((p, e))
     if m > 1:
-        if is_prime(m):
-            pairs.append((m, 1))
-        else:
-            large: list[int] = []
-            _factor_large(m, large)
-            counts: dict[int, int] = {}
-            for q in large:
-                counts[q] = counts.get(q, 0) + 1
-            pairs.extend(sorted(counts.items()))
-    pairs.sort()
+        pairs.append((m, 1))
     return Factorization(n, tuple(pairs))
 
 
@@ -228,7 +182,7 @@ def _expand_divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
+    """All positive divisors of 1 <= n < 65537**2, ascending."""
     return _expand_divisors(factorize(n).factors)
 
 
@@ -238,17 +192,11 @@ def _square_divisors(x: int) -> tuple[int, ...]:
     return tuple(_expand_divisors(doubled))
 
 
-# Cached for the callers that revisit x: `compare` enumerates every x of
-# each prime and hits about 98% of the time. A first-only search visits
-# each x about once, so it reads _square_divisors uncached.
-_square_divisor_cache = lru_cache(maxsize=1 << 16)(_square_divisors)
-
-
 def divisors_of_square(x: int) -> list[int]:
     """All divisors of x*x, ascending, via doubled exponents of factorize(x).
 
-    x itself is factored; x*x never is.
+    x itself is factored, so x < 65537**2 (DomainError past it); x*x never is.
     """
     if x < 1:
         raise DomainError(f"divisors_of_square expects x >= 1, got {x}")
-    return list(_square_divisor_cache(x))
+    return list(_square_divisors(x))

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .errors import CorrespondenceError, DomainError
 from .oracle import DEFAULT_CAP, solve_bruteforce
-from .recover import check_correspondence
+from .recover import check_correspondences
 from .report import (
     figure_points,
     k_table,
@@ -179,10 +179,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .arith import primes_in_range
 
     cap = args.cap if args.cap is not None else max(args.hi, DEFAULT_CAP)
-    problems: list[str] = []
     primes = primes_in_range(args.lo, args.hi)
-    for p in primes:
-        problems.extend(check_correspondence(p, oracle_cap=cap))
+    problems = check_correspondences(primes, oracle_cap=cap)
     if args.json:
         print(
             _compact(

@@ -10,13 +10,14 @@ witness rebuilds exactly (y, z), with q = 4*x - p:
 
 Every property the characterization promises about d is re-derived
 rather than assumed; a failure raises CorrespondenceError because it
-would be a counterexample, not a usage problem. check_correspondence
-drives the full two-way comparison against the brute-force oracle.
+would be a counterexample, not a usage problem. check_correspondence(s)
+drive the full two-way comparison against the brute-force oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
 from .errors import CorrespondenceError, DomainError, InvalidSolutionError
 from .oracle import DEFAULT_CAP, solve_bruteforce
@@ -24,11 +25,11 @@ from .witness import (
     SolutionType,
     Witness,
     _require_prime,
+    _witnesses_x_major,
     _x_bounds,
     build_solution,
     check_type1,
     check_type2,
-    enumerate_witnesses,
     verify_identity,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "classify_solution",
     "recover_witness",
     "check_correspondence",
+    "check_correspondences",
 ]
 
 
@@ -121,10 +123,31 @@ def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
       - backward round-trip: oracle solution -> witness -> rebuilt
         solution is the identity.
     """
+    return check_correspondences((p,), oracle_cap)
+
+
+def check_correspondences(primes: Sequence[int], oracle_cap: int = DEFAULT_CAP) -> list[str]:
+    """check_correspondence for each of strictly ascending primes, in order.
+
+    The witnesses of all the primes come from one x-major walk, grouped
+    by prime, so each x is factored once for every prime it serves.
+    """
+    for i, p in enumerate(primes):
+        _require_prime(p)
+        if i and p <= primes[i - 1]:
+            raise DomainError(f"primes must ascend strictly, got {primes[i - 1]} then {p}")
+    found: dict[int, list[Witness]] = {p: [] for p in primes}
+    for w in _witnesses_x_major(primes):
+        found[w.p].append(w)
+    return [line for p in primes for line in _correspondence_problems(p, found[p], oracle_cap)]
+
+
+def _correspondence_problems(p: int, witnesses: list[Witness], oracle_cap: int) -> list[str]:
+    """The violations of check_correspondence for p, given all of p's witnesses."""
     problems: list[str] = []
 
     witness_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
-    for w in enumerate_witnesses(p):
+    for w in witnesses:
         s = build_solution(w)
         witness_side[s.type, (s.x, s.y, s.z)] += 1
         try:

@@ -2,9 +2,10 @@
 
 The k table lists, per prime, the sorted distinct offsets
 k = x - ceil(p/4) over all witnesses of one type; the figure maps
-each prime to every x admitting a witness of either type. Both of
-these are projections of the same witness enumeration the scan
-module uses, so there is no second computation path to drift.
+each prime to every x admitting a witness of either type. Both are
+projections of exhaustive scan records, built by the x-major witness
+walk that iter_witnesses and compare also use, so there is no second
+computation path to drift.
 """
 
 from __future__ import annotations

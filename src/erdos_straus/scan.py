@@ -4,9 +4,10 @@ A scan walks the primes of a range, records the first witness (and,
 in exhaustive mode, the full k sets and counts per type), tags each
 prime with its residues mod 24 and mod 840, and reports any prime
 with no witness at all as a counterexample. The range of numbers is
-cut into chunks; each chunk's task sieves its own primes and does pure
-per-prime work, and chunk results are merged in order, so output is
-identical for any worker count.
+cut into chunks; each chunk's task sieves its own primes, searches
+them one by one (first-only) or walks x once for all of them
+(exhaustive, witness._witnesses_x_major), and chunk results are
+merged in order, so output is identical for any worker count.
 
 Also checks two structural rules for the k = 0 and divisor-k offsets,
 each against a closed-form type I witness before any divisor walk,
@@ -31,8 +32,8 @@ from .witness import (
     Witness,
     _ascending_square_divisors,
     _first_witness_unchecked,
+    _witnesses_x_major,
     _x_bounds,
-    iter_witnesses,
 )
 
 __all__ = [
@@ -196,30 +197,31 @@ def _run_chunks(
         yield from pool.imap(task, chunks)
 
 
-def _exhaustive_record(p: int) -> ScanRecord:
-    first: Optional[Witness] = None
-    k1: set[int] = set()
-    k2: set[int] = set()
-    n1 = n2 = 0
-    for w in iter_witnesses(p):
-        if first is None:
-            first = w
-        if w.type is SolutionType.TYPE_I:
-            k1.add(w.k)
-            n1 += 1
-        else:
-            k2.add(w.k)
-            n2 += 1
-    return ScanRecord(
-        p, first, tuple(sorted(k1)), tuple(sorted(k2)), (n1, n2), p % 24, p % 840
-    )
+def _exhaustive_records(primes: list[int]) -> list[ScanRecord]:
+    """Exhaustive records of ascending sieved primes from one x-major walk.
+
+    A prime's first witness is the first the walk yields for it.
+    """
+    first: dict[int, Witness] = {}
+    k_sets = {p: (set(), set()) for p in primes}
+    counts = {p: [0, 0] for p in primes}
+    for w in _witnesses_x_major(primes):
+        first.setdefault(w.p, w)
+        t = w.type is SolutionType.TYPE_II
+        k_sets[w.p][t].add(w.k)
+        counts[w.p][t] += 1
+    records = []
+    for p in primes:
+        k1, k2 = (tuple(sorted(ks)) for ks in k_sets[p])
+        records.append(ScanRecord(p, first.get(p), k1, k2, tuple(counts[p]), p % 24, p % 840))
+    return records
 
 
 def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
     """Worker task: the records of the primes in [lo, hi], ascending.
 
-    The primes come from the sieve, so the first-only search skips the
-    primality check that the public first_witness makes.
+    The primes come from the sieve, so neither mode repeats the primality
+    check that the public first_witness and iter_witnesses make.
     """
     lo, hi, mode = task
     primes = primes_in_range(lo, hi)
@@ -228,7 +230,7 @@ def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
             ScanRecord(p, _first_witness_unchecked(p), None, None, None, p % 24, p % 840)
             for p in primes
         ]
-    return [_exhaustive_record(p) for p in primes]
+    return _exhaustive_records(primes)
 
 
 # A tally maps each residue class to [count, with_witness, k0_type1,

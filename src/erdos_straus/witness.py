@@ -14,13 +14,13 @@ p not dividing y; type II solutions have p | y.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .arith import _square_divisor_cache, _square_divisors, is_prime
+from .arith import _square_divisors, is_prime
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -139,24 +139,42 @@ def check_type2(p: int, x: int, d: int) -> bool:
     return d <= x and (x + d) % (4 * x - p) == 0
 
 
+def _witnesses_x_major(primes: Sequence[int]) -> Iterator[Witness]:
+    """Every witness of each of the ascending primes, walking each x once.
+
+    x lies in the x range of each p with 2x - 1 <= p <= 4x, so it is
+    factored once, uncached, for all of them. Output is ordered by x,
+    then p, then d, type I first: per p, the iter_witnesses order.
+    """
+    if not primes:
+        return
+    for x in range(_x_bounds(primes[0])[0], _x_bounds(primes[-1])[1] + 1):
+        first, last = bisect_left(primes, 2 * x - 1), bisect_right(primes, 4 * x)
+        if first == last:
+            continue
+        divs = _square_divisors(x)
+        for p in primes[first:last]:
+            q = 4 * x - p
+            t1 = (-p * x) % q
+            t2 = (-x) % q
+            for d in divs:
+                r = d % q
+                if r == t1:
+                    yield Witness(p, x, d, SolutionType.TYPE_I)
+                if r == t2 and d <= x:
+                    yield Witness(p, x, d, SolutionType.TYPE_II)
+
+
 def iter_witnesses(p: int) -> Iterator[Witness]:
     """All witnesses for p: x ascending, d ascending, type I first.
 
     A pair (x, d) satisfying both congruences yields two witnesses,
-    the type I one first. Lazy, so callers can stop early.
+    the type I one first. Lazy, so callers can stop early. DomainError
+    comes at once for a p that is not prime, and from the walk if it
+    reaches x = 65537**2, which arith does not factor (p > 2 * 65537**2).
     """
     _require_prime(p)
-    lo, hi = _x_bounds(p)
-    for x in range(lo, hi + 1):
-        q = 4 * x - p
-        t1 = (-p * x) % q
-        t2 = (-x) % q
-        for d in _square_divisor_cache(x):
-            r = d % q
-            if r == t1:
-                yield Witness(p, x, d, SolutionType.TYPE_I)
-            if r == t2 and d <= x:
-                yield Witness(p, x, d, SolutionType.TYPE_II)
+    return _witnesses_x_major((p,))
 
 
 def enumerate_witnesses(p: int) -> list[Witness]:
@@ -168,7 +186,8 @@ def first_witness(p: int) -> Optional[Witness]:
     """First witness in iter_witnesses order, or None.
 
     Walks each x's divisors through _ascending_square_divisors, so x is
-    factored only when no small divisor is a witness at that x.
+    factored only when no small divisor is a witness at that x; an x at
+    or past 65537**2 that needs factoring raises DomainError.
     """
     _require_prime(p)
     return _first_witness_unchecked(p)

@@ -124,16 +124,21 @@ class TestFactorize:
         with pytest.raises(DomainError):
             factorize(0)
 
-    def test_large_semiprime_uses_exact_split(self):
-        # Both factors exceed the trial-division sieve bound.
-        p, q = 1_000_003, 1_000_033
-        assert is_prime(p) and is_prime(q)
-        f = factorize(p * q)
-        assert f.factors == ((p, 1), (q, 1))
+    def test_largest_prime_pair_below_the_bound(self):
+        # 65521 is the last trial divisor; the cofactor 65537 is prime
+        # without a primality test because n < 65537**2.
+        f = factorize(65_521 * 65_537)
+        assert f.factors == ((65_521, 1), (65_537, 1))
+        assert factorize(65_521**2).factors == ((65_521, 2),)
+        assert factorize(65_537**2 - 1).factors == ((2, 17), (3, 2), (11, 1), (331, 1))
 
-    def test_square_of_large_prime(self):
-        p = 1_000_003
-        assert factorize(p * p).factors == ((p, 2),)
+    def test_square_of_65537_rejected(self):
+        with pytest.raises(DomainError):
+            factorize(65_537**2)
+        with pytest.raises(DomainError):
+            divisors(65_537**2)
+        with pytest.raises(DomainError):
+            divisors_of_square(65_537**2)
 
     @given(st.integers(min_value=1, max_value=1_000_000))
     @settings(max_examples=300)

@@ -264,7 +264,9 @@ class TestCompare:
 
     def test_violation_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            cli, "check_correspondence", lambda p, oracle_cap: [f"p={p}: fabricated"]
+            cli,
+            "check_correspondences",
+            lambda primes, oracle_cap: [f"p={p}: fabricated" for p in primes],
         )
         assert main(["compare", "2", "10"]) == 5
         assert "VIOLATION" in capsys.readouterr().out

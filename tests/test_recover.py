@@ -11,6 +11,7 @@ from erdos_straus import (
     Witness,
     build_solution,
     check_correspondence,
+    check_correspondences,
     classify_solution,
     enumerate_witnesses,
     primes_in_range,
@@ -142,3 +143,34 @@ class TestCorrespondenceViolations:
         assert main(["compare", "41", "41"]) == 5
         out = capsys.readouterr().out
         assert "VIOLATION p=41: backward recovery failed for (11, 50, 60)" in out
+
+
+class TestCorrespondenceOverRange:
+    """check_correspondences groups one x-major walk's witnesses by prime;
+    it must say exactly what check_correspondence says prime by prime."""
+
+    @pytest.mark.parametrize(
+        "edit, violated",
+        [
+            (lambda ts: ts, False),
+            (lambda ts: ts[1:], True),  # dropped solution
+            (lambda ts: ts + ts[:1], True),  # duplicated solution
+            (lambda ts: ts + [(11, 50, 60)], True),  # non-solution
+        ],
+        ids=["clean", "drop", "duplicate", "non-solution"],
+    )
+    def test_equals_per_prime_concatenation(self, monkeypatch, edit, violated):
+        _patch_oracle(monkeypatch, edit)
+        primes = primes_in_range(2, 300)
+        per_prime = [line for p in primes for line in check_correspondence(p, oracle_cap=300)]
+        assert check_correspondences(primes, oracle_cap=300) == per_prime
+        assert bool(per_prime) == violated
+
+    def test_domain(self):
+        assert check_correspondences([]) == []
+        with pytest.raises(DomainError):
+            check_correspondences([2, 9, 11])
+        with pytest.raises(DomainError):
+            check_correspondences([5, 3])
+        with pytest.raises(DomainError):
+            check_correspondences([3, 3])

@@ -255,6 +255,29 @@ class TestTally:
                 assert self.merged_at(records, cut, 24) == expected, cut
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in a pool that maps serially and records its size, so no
+    process is started whatever size is asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return (fn(t) for t in tasks)
+
+    monkeypatch.setattr(scan_module, "Pool", SerialPool)
+    return sizes
+
+
 class TestScanParallel:
     def test_worker_counts_agree(self):
         base = scan_primes(2, 1500, mode="exhaustive", workers=1)
@@ -267,28 +290,6 @@ class TestScanParallel:
         base = scan_primes(2, 1500, mode="first-only", workers=1)
         multi = scan_primes(2, 1500, mode="first-only", workers=4)
         assert base.records == multi.records
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Swap in a pool that maps serially and records its size, so no
-        process is started whatever size is asked for."""
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, tasks):
-                return (fn(t) for t in tasks)
-
-        monkeypatch.setattr(scan_module, "Pool", SerialPool)
-        return sizes
 
     def test_pool_capped_at_usable_cpus(self, pool_sizes):
         base = scan_primes(2, 5000, mode="first-only", workers=1)
@@ -318,6 +319,79 @@ class TestScanParallel:
         capsys.readouterr()
         assert pool_sizes == [min(300, scan_module._usable_cpus())]
         assert outs["1"] == outs["300"]
+
+
+def reference_exhaustive(hi):
+    """Exhaustive records of the primes <= hi as (p, first, k1, k2, counts),
+    from a per-prime walk over divisors of x*x found by trial division.
+
+    Shares no code with the program: its own primes, its own divisors,
+    the congruences written out, one prime at a time.
+    """
+    square_divisors = {}
+    for x in range(1, (hi + 1) // 2 + 1):
+        xx = x * x
+        low = [d for d in range(1, x + 1) if xx % d == 0]
+        square_divisors[x] = low + [xx // d for d in reversed(low[:-1])]
+    rows = []
+    for p in range(2, hi + 1):
+        if any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
+            continue
+        first, k1, k2, n1, n2 = None, set(), set(), 0, 0
+        x_lo = (p + 3) // 4
+        for x in range(x_lo, (p + 1) // 2 + 1):
+            q = 4 * x - p
+            for d in square_divisors[x]:
+                for kind, hit in (("I", (p * x + d) % q == 0), ("II", d <= x and (x + d) % q == 0)):
+                    if not hit:
+                        continue
+                    first = first or (x, d, kind)
+                    if kind == "I":
+                        k1.add(x - x_lo)
+                        n1 += 1
+                    else:
+                        k2.add(x - x_lo)
+                        n2 += 1
+        rows.append((p, first, tuple(sorted(k1)), tuple(sorted(k2)), (n1, n2)))
+    return rows
+
+
+def exhaustive_rows(report):
+    return [
+        (
+            r.p,
+            None if r.first is None else (r.first.x, r.first.d, r.first.type.value),
+            r.type1_k_set,
+            r.type2_k_set,
+            r.witness_count_by_type,
+        )
+        for r in report.records
+    ]
+
+
+class TestExhaustiveReference:
+    """Exhaustive records against an independent per-prime walk.
+
+    A chunk walks x over the windows of its own primes, so chunk edges
+    cut through x windows; the records must not see where they fall.
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_exhaustive(3000)
+
+    def test_one_chunk(self, reference):
+        assert exhaustive_rows(scan_primes(2, 3000, mode="exhaustive")) == reference
+
+    def test_chunks_of_97(self, reference, monkeypatch):
+        monkeypatch.setattr(scan_module, "_SPAN", 97)
+        assert len(scan_module._chunk_bounds(2, 3000, 1)) == 31
+        assert exhaustive_rows(scan_primes(2, 3000, mode="exhaustive")) == reference
+
+    def test_pool_of_3(self, reference, pool_sizes):
+        report = scan_primes(2, 3000, mode="exhaustive", workers=3)
+        assert pool_sizes == [min(3, scan_module._usable_cpus())]
+        assert exhaustive_rows(report) == reference
 
 
 class TestScanDomain:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import erdos_straus.arith as arith_module
 import erdos_straus.witness as witness_module
 from erdos_straus import (
     ConsistencyError,
@@ -143,24 +142,31 @@ class TestFirstWitness:
                 first_witness(n)
 
 
+class TestFactorBound:
+    # x is factored only below 65537**2; an answer that needs a larger
+    # x factored is a DomainError, never a guess.
+    P_PROBED = 17_180_393_497  # least prime above 4 * 65537**2
+    P_UNPROBED = 17_180_393_521  # no d <= _PROBE_LIMIT works at ceil(p/4)
+
+    def test_iter_witnesses_raises_at_the_first_x(self):
+        it = iter_witnesses(self.P_PROBED)
+        with pytest.raises(DomainError):
+            next(it)
+
+    def test_first_witness_answers_from_the_probe_or_raises(self):
+        w = first_witness(self.P_PROBED)
+        assert w == Witness(self.P_PROBED, 4_295_098_375, 5, SolutionType.TYPE_I)
+        s = build_solution(w)
+        assert verify_identity(s.p, s.x, s.y, s.z)
+        with pytest.raises(DomainError):
+            first_witness(self.P_UNPROBED)
+
+
 class TestAscendingSquareDivisors:
     @pytest.mark.parametrize("xs", [range(1, 5001), [720_720, 2**31 - 1]])
     def test_matches_divisors_of_square(self, xs):
         for x in xs:
             assert list(witness_module._ascending_square_divisors(x)) == divisors_of_square(x), x
-
-    def test_first_witness_search_leaves_the_divisor_cache_alone(self):
-        # Past the probe, x is factored uncached; only enumeration and
-        # divisors_of_square fill the cache.
-        cache = arith_module._square_divisor_cache
-        cache.cache_clear()
-        for p in primes_in_range(2, 3000):
-            first_witness(p)
-        assert list(witness_module._ascending_square_divisors(720_720))
-        assert cache.cache_info().currsize == 0
-        enumerate_witnesses(97)
-        divisors_of_square(720_720)
-        assert cache.cache_info().currsize > 0
 
 
 class TestBuildSolution:
