@@ -178,9 +178,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .arith import primes_in_range
 
-    cap = args.cap if args.cap is not None else max(args.hi, DEFAULT_CAP)
     primes = primes_in_range(args.lo, args.hi)
-    problems = check_correspondences(primes, oracle_cap=cap)
+    problems = check_correspondences(primes, oracle_cap=args.hi)
     if args.json:
         print(
             _compact(
@@ -275,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("lo", type=int)
     p_compare.add_argument("hi", type=int)
-    p_compare.add_argument("--cap", type=int, default=None)
     p_compare.add_argument("--json", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .scan import scan_primes
+from .scan import ScanRecord, scan_primes
 from .witness import SolutionType, _x_bounds
 
 __all__ = [
@@ -36,11 +36,18 @@ class KTableRow:
     ks: tuple[int, ...]
 
 
+def _records_upto(hi: int) -> tuple[ScanRecord, ...]:
+    """The exhaustive scan records of the primes <= hi."""
+    if hi < 2:
+        raise DomainError(f"need hi >= 2, got hi={hi}")
+    return scan_primes(2, hi, mode="exhaustive").records
+
+
 def k_table(hi: int, type: SolutionType) -> list[KTableRow]:
     """One row per prime <= hi with that type's sorted distinct k set."""
     return [
         KTableRow(r.p, r.type1_k_set if type is SolutionType.TYPE_I else r.type2_k_set)
-        for r in scan_primes(2, hi, mode="exhaustive").records
+        for r in _records_upto(hi)
     ]
 
 
@@ -58,7 +65,7 @@ def k_table_json(rows: list[KTableRow]) -> str:
 def figure_points(hi: int) -> list[tuple[int, int]]:
     """Every (p, x) with p <= hi prime and x admitting any witness."""
     points = []
-    for r in scan_primes(2, hi, mode="exhaustive").records:
+    for r in _records_upto(hi):
         lo = _x_bounds(r.p)[0]
         points.extend((r.p, lo + k) for k in sorted({*r.type1_k_set, *r.type2_k_set}))
     return points

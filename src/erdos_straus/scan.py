@@ -3,11 +3,13 @@
 A scan walks the primes of a range, records the first witness (and,
 in exhaustive mode, the full k sets and counts per type), tags each
 prime with its residues mod 24 and mod 840, and reports any prime
-with no witness at all as a counterexample. The range of numbers is
-cut into chunks; each chunk's task sieves its own primes, searches
-them one by one (first-only) or walks x once for all of them
-(exhaustive, witness._witnesses_x_major), and chunk results are
-merged in order, so output is identical for any worker count.
+with no witness at all as a counterexample. A task sieves a range of
+numbers and searches its primes one by one (first-only) or walks x
+once for all of them (exhaustive, witness._witnesses_x_major).
+ScanStream, the CLI's scan, runs one task per chunk of [lo, hi], in
+process or on a pool, and merges chunk results in order, so output is
+identical for any worker count. scan_primes runs [lo, hi] as one task
+in process: the unchunked reference the stream must equal.
 
 Also checks two structural rules for the k = 0 and divisor-k offsets,
 each against a closed-form type I witness before any divisor walk,
@@ -19,11 +21,12 @@ identities do not cover.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Any, Iterable, Iterator, Optional
 
 from .arith import divisors, primes_in_range
 from .errors import DomainError
@@ -53,7 +56,6 @@ HARD_RESIDUES_840 = frozenset({1, 121, 169, 289, 361, 529})
 
 _MODES = ("first-only", "exhaustive")
 _HI_CAP = 1 << 32
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,8 +80,9 @@ class ScanRecord:
 class ScanReport:
     """Outcome of one range scan; records ascend by p.
 
-    records is empty when the records were streamed as text instead
-    (ScanStream); prime_count counts the primes scanned either way.
+    scan_primes keeps every record. ScanStream streams them as text,
+    so its report has records=(); prime_count counts the primes
+    scanned either way.
     """
 
     lo: int
@@ -150,12 +153,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_scan(lo: int, hi: int, mode: str, workers: int) -> None:
+def _check_scan(lo: int, hi: int, mode: str) -> None:
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
     _check_range(lo, hi)
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
 
 
 # Widest chunk of numbers one scan task covers. A task's records are
@@ -165,9 +166,12 @@ _SPAN = 1 << 17
 
 # Chunks per pool process. The cost of a prime grows with p, steeply in
 # exhaustive mode, so equal-width chunks are not equal work; many small
-# ones let the pool even out the load. On 2 CPUs, 16 against 4 took
-# `scan 2 10000 --exhaustive` from 3.1 s to 2.9 s and left first-only
-# `scan 2 499999` at 0.63 s (medians of 5).
+# ones let the pool even out the load. Exhaustive chunks factor the x
+# they share again (87,393 x at 16, 27,458 at 4, 9,999 in one pass for
+# `scan 2 20000 --exhaustive --threads 2`), yet on 2 CPUs 4 against 16
+# left that scan level: 8.8 s against 8.9 s wall, 15.8 s against 15.9 s
+# CPU (medians of alternating pairs), and `scan 2 499999 --threads 2`
+# 0.41 s against 0.45 s.
 _CHUNKS_PER_PROCESS = 16
 
 
@@ -175,26 +179,6 @@ def _chunk_bounds(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     """[lo, hi] cut into about `parts` contiguous pieces, none wider than _SPAN."""
     step = min(_SPAN, -(-(hi - lo + 1) // parts))
     return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def _run_chunks(
-    task: Callable[[tuple[int, int, str]], _T], lo: int, hi: int, mode: str, workers: int
-) -> Iterator[_T]:
-    """task applied to each chunk of [lo, hi], results in chunk order.
-
-    One worker, or a range that makes one chunk, runs in process.
-    Otherwise the chunks go to a pool of at most one process per usable
-    CPU, and each result is yielded as soon as it and every chunk
-    before it are done.
-    """
-    processes = min(workers, _usable_cpus())
-    parts = 1 if workers == 1 else _CHUNKS_PER_PROCESS * processes
-    chunks = [(a, b, mode) for a, b in _chunk_bounds(lo, hi, parts)]
-    if workers == 1 or len(chunks) == 1:
-        yield from map(task, chunks)
-        return
-    with Pool(processes=processes) as pool:
-        yield from pool.imap(task, chunks)
 
 
 def _exhaustive_records(primes: list[int]) -> list[ScanRecord]:
@@ -218,7 +202,7 @@ def _exhaustive_records(primes: list[int]) -> list[ScanRecord]:
 
 
 def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
-    """Worker task: the records of the primes in [lo, hi], ascending.
+    """The records of the primes in [lo, hi], ascending.
 
     The primes come from the sieve, so neither mode repeats the primality
     check that the public first_witness and iter_witnesses make.
@@ -234,63 +218,52 @@ def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
 
 
 # A tally maps each residue class to [count, with_witness, k0_type1,
-# min_total, max_total]; the last three are None once a record of the
-# class has no witness counts (a first-only record).
+# min_total, max_total]. Only exhaustive records carry witness counts;
+# first-only ones leave the last three at their start values.
 _Tally = dict[int, list]
 
 
 def _tally(records: Iterable[ScanRecord], modulus: int) -> _Tally:
     tally: _Tally = {}
     for r in records:
-        residue = r.p % modulus
-        entry = tally.get(residue)
-        if entry is None:
-            entry = tally[residue] = [0, 0, 0, None, None]
+        entry = tally.setdefault(r.p % modulus, [0, 0, 0, math.inf, 0])
         entry[0] += 1
         entry[1] += r.first is not None
         counts = r.witness_count_by_type
-        if counts is None:
-            entry[2:] = [None, None, None]
-        elif entry[2] is not None:
+        if counts is not None:
             total = counts[0] + counts[1]
             entry[2] += 0 in r.type1_k_set
-            entry[3] = total if entry[3] is None else min(entry[3], total)
-            entry[4] = total if entry[4] is None else max(entry[4], total)
+            entry[3] = min(entry[3], total)
+            entry[4] = max(entry[4], total)
     return tally
 
 
 def _merge_tally(into: _Tally, part: _Tally) -> None:
     for residue, (count, with_witness, k0, lo, hi) in part.items():
-        entry = into.get(residue)
-        if entry is None:
-            into[residue] = [count, with_witness, k0, lo, hi]
-            continue
-        entry[0] += count
-        entry[1] += with_witness
-        if entry[2] is None or k0 is None:
-            entry[2:] = [None, None, None]
-        else:
-            entry[2:] = [entry[2] + k0, min(entry[3], lo), max(entry[4], hi)]
+        c, w, k, mn, mx = into.get(residue, (0, 0, 0, math.inf, 0))
+        into[residue] = [c + count, w + with_witness, k + k0, min(mn, lo), max(mx, hi)]
 
 
-def _finish_tally(tally: _Tally, modulus: int) -> dict[int, dict[str, Any]]:
-    """The residue summary of a tally; each fraction is divided here, once."""
+def _finish_tally(tally: _Tally, modulus: int, mode: str) -> dict[int, dict[str, Any]]:
+    """The residue summary of one scan's tally; each fraction is divided
+    here, once. A first-only scan has no witness statistics."""
+    exhaustive = mode == "exhaustive"
     summary: dict[int, dict[str, Any]] = {}
     for residue in sorted(tally):
         count, with_witness, k0, lo, hi = tally[residue]
         summary[residue] = {
             "count": count,
             "with_witness": with_witness,
-            "k0_type1_fraction": None if k0 is None else k0 / count,
-            "min_witness_count": lo,
-            "max_witness_count": hi,
+            "k0_type1_fraction": k0 / count if exhaustive else None,
+            "min_witness_count": lo if exhaustive else None,
+            "max_witness_count": hi if exhaustive else None,
             "hard": modulus == 840 and residue in HARD_RESIDUES_840,
         }
     return summary
 
 
-def _summarize(records: Iterable[ScanRecord], modulus: int) -> dict[int, dict[str, Any]]:
-    return _finish_tally(_tally(records, modulus), modulus)
+def _summarize(records: Iterable[ScanRecord], modulus: int, mode: str) -> dict[int, dict]:
+    return _finish_tally(_tally(records, modulus), modulus, mode)
 
 
 def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
@@ -300,25 +273,42 @@ def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
     return text, _tally(records, 24), [r.p for r in records if r.first is None]
 
 
-def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) -> ScanReport:
-    """Scan every prime in [lo, hi]; see the module docstring.
+def _run_chunks(lo: int, hi: int, mode: str, workers: int) -> Iterator[tuple[str, _Tally, list]]:
+    """_chunk_text of each chunk of [lo, hi], results in chunk order.
 
-    workers > 1 maps range chunks over a process pool of at most one
-    process per usable CPU (see _run_chunks); the merged result is the
-    same as a single-worker run.
+    One worker, or a range that makes one chunk, runs in process.
+    Otherwise the chunks go to a pool of at most one process per usable
+    CPU, and each result is yielded as soon as it and every chunk
+    before it are done.
     """
-    _check_scan(lo, hi, mode, workers)
+    processes = min(workers, _usable_cpus())
+    parts = 1 if workers == 1 else _CHUNKS_PER_PROCESS * processes
+    chunks = [(a, b, mode) for a, b in _chunk_bounds(lo, hi, parts)]
+    if workers == 1 or len(chunks) == 1:
+        yield from map(_chunk_text, chunks)
+        return
+    with Pool(processes=processes) as pool:
+        yield from pool.imap(_chunk_text, chunks)
+
+
+def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
+    """Scan every prime in [lo, hi] in process and keep the records.
+
+    The whole range is one task: one sieve and, in exhaustive mode, one
+    x-major walk, so each x is factored once. This is the unchunked
+    reference for ScanStream, whose chunked, pooled scan of the same
+    range gives the same record lines and summary.
+    """
+    _check_scan(lo, hi, mode)
     start = time.perf_counter()
-    records = tuple(
-        r for chunk in _run_chunks(_chunk_records, lo, hi, mode, workers) for r in chunk
-    )
+    records = tuple(_chunk_records((lo, hi, mode)))
     return ScanReport(
         lo=lo,
         hi=hi,
         mode=mode,
         records=records,
         counterexamples=tuple(r.p for r in records if r.first is None),
-        residue_summary=_summarize(records, 24),
+        residue_summary=_summarize(records, 24, mode),
         elapsed=time.perf_counter() - start,
         prime_count=len(records),
     )
@@ -327,17 +317,20 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only", workers: int = 1) ->
 class ScanStream:
     """One scan's record lines as finished text, chunk by chunk, in order.
 
-    Iterating runs the scan on the engine scan_primes uses, but each
-    task formats its own records (record_line plus a newline) and
-    tallies them, so no ScanRecord leaves the process that built it,
-    and a chunk's text is kept only until it has been yielded. Once iteration
+    Iterating cuts [lo, hi] into chunks and runs them in process or on
+    a pool of up to `workers` processes (see _run_chunks). Each task
+    formats its own records (record_line plus a newline) and tallies
+    them, so no ScanRecord leaves the process that built it, and a
+    chunk's text is kept only until it has been yielded. Once iteration
     ends, `report` is the scan's ScanReport: records=(), and the
     prime count, counterexamples and residue summary merged from the
     chunk tallies, equal to scan_primes' for the same range.
     """
 
     def __init__(self, lo: int, hi: int, mode: str = "first-only", workers: int = 1) -> None:
-        _check_scan(lo, hi, mode, workers)
+        _check_scan(lo, hi, mode)
+        if workers < 1:
+            raise DomainError(f"workers must be >= 1, got {workers}")
         self.lo, self.hi, self.mode, self.workers = lo, hi, mode, workers
         self.report: Optional[ScanReport] = None
 
@@ -345,8 +338,7 @@ class ScanStream:
         start = time.perf_counter()
         tally: _Tally = {}
         counterexamples: list[int] = []
-        chunks = _run_chunks(_chunk_text, self.lo, self.hi, self.mode, self.workers)
-        for text, part, missing in chunks:
+        for text, part, missing in _run_chunks(self.lo, self.hi, self.mode, self.workers):
             yield text
             _merge_tally(tally, part)
             counterexamples.extend(missing)
@@ -356,7 +348,7 @@ class ScanStream:
             mode=self.mode,
             records=(),
             counterexamples=tuple(counterexamples),
-            residue_summary=_finish_tally(tally, 24),
+            residue_summary=_finish_tally(tally, 24, self.mode),
             elapsed=time.perf_counter() - start,
             prime_count=sum(entry[0] for entry in tally.values()),
         )
@@ -391,18 +383,20 @@ def _has_type1_witness_at(p: int, x: int, candidates: Iterable[int]) -> bool:
     return any(d % q == target for d in _ascending_square_divisors(x))
 
 
-def _check_rule_range(hi: int) -> None:
+def _rule_primes(hi: int) -> Iterator[int]:
+    """The primes 3 <= p <= hi, hi checked first, sieved one chunk of at
+    most _SPAN numbers at a time, so a rule holds one chunk's primes."""
     if hi < 3:
         raise DomainError(f"need hi >= 3, got hi={hi}")
     _check_range(3, hi)
+    return (p for a, b in _chunk_bounds(3, hi, 1) for p in primes_in_range(a, b))
 
 
 def check_k0_type1_rule(hi: int) -> list[int]:
     """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
     the smallest x. Expected empty."""
-    _check_rule_range(hi)
     violations = []
-    for p in primes_in_range(3, hi):
+    for p in _rule_primes(hi):
         if p % 24 == 1:
             continue
         x = _x_bounds(p)[0]
@@ -417,9 +411,8 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
 
     Every such k lies in the k range, whose top is ceil(p/2) - m = m.
     """
-    _check_rule_range(hi)
     violations = []
-    for p in primes_in_range(3, hi):
+    for p in _rule_primes(hi):
         if p % 4 != 3:
             continue
         m = _x_bounds(p)[0]
@@ -442,4 +435,4 @@ def residue_stats(report: ScanReport, modulus: int) -> dict[int, dict[str, Any]]
         raise DomainError("residue_stats needs an exhaustive-mode report")
     if len(report.records) != report.prime_count:
         raise DomainError("residue_stats needs a report that kept its records")
-    return _summarize(report.records, modulus)
+    return _summarize(report.records, modulus, report.mode)

@@ -271,6 +271,13 @@ class TestCompare:
         assert main(["compare", "2", "10"]) == 5
         assert "VIOLATION" in capsys.readouterr().out
 
+    def test_no_cap_option(self, capsys):
+        # The oracle cap is hi, the largest compared prime, so no cap can be set.
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "2", "100", "--cap", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 50" in capsys.readouterr().err
+
 
 class TestProperties:
     def test_clean(self, capsys):

@@ -70,7 +70,8 @@ class TestKTable:
         assert all(x != 17 for x, _, _ in solve_bruteforce(47))
 
     def test_domain_guard(self):
-        with pytest.raises(DomainError):
+        # The table always starts at 2, so the message names only hi.
+        with pytest.raises(DomainError, match=r"^need hi >= 2, got hi=1$"):
             k_table(1, SolutionType.TYPE_I)
 
 
@@ -106,6 +107,10 @@ class TestFigurePoints:
         pts = figure_points(100)
         assert [x for p, x in pts if p == 41] == [11, 12, 14, 18]
         assert figure_points(2) == [(2, 1)]
+
+    def test_domain_guard(self):
+        with pytest.raises(DomainError, match=r"^need hi >= 2, got hi=1$"):
+            figure_points(1)
 
     def test_sorted_and_in_range(self):
         pts = figure_points(100)

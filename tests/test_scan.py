@@ -12,6 +12,7 @@ from erdos_straus import (
     ScanRecord,
     ScanStream,
     SolutionType,
+    Witness,
     check_divisor_k_rule,
     check_k0_type1_rule,
     check_type1,
@@ -159,20 +160,26 @@ class TestRecordLine:
         assert summary_line(report, 3) == json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
+def assert_stream_matches(report, stream):
+    """The stream's text and report equal those of the unchunked,
+    in-process reference scan_primes of the same range."""
+    assert stream.report is None
+    text = "".join(stream)
+    assert text == "".join(record_line(r) + "\n" for r in report.records)
+    streamed = stream.report
+    assert streamed.records == ()
+    assert streamed.prime_count == report.prime_count == len(report.records)
+    assert streamed.counterexamples == report.counterexamples
+    assert streamed.residue_summary == report.residue_summary
+
+
 class TestScanStream:
     @pytest.mark.parametrize("mode", ["first-only", "exhaustive"])
     def test_text_and_report_match_scan_primes(self, mode):
         report = scan_primes(2, 1500, mode=mode)
         stream = ScanStream(2, 1500, mode=mode)
-        assert stream.report is None
-        text = "".join(stream)
-        assert text == "".join(record_line(r) + "\n" for r in report.records)
-        streamed = stream.report
-        assert streamed.records == ()
-        assert streamed.prime_count == report.prime_count == len(report.records)
-        assert streamed.counterexamples == report.counterexamples
-        assert streamed.residue_summary == report.residue_summary
-        summaries = [json.loads(summary_line(r, 1)) for r in (streamed, report)]
+        assert_stream_matches(report, stream)
+        summaries = [json.loads(summary_line(r, 1)) for r in (stream.report, report)]
         for summary in summaries:
             del summary["elapsed_seconds"]
         assert summaries[0] == summaries[1]
@@ -231,28 +238,25 @@ class TestTally:
         return scan_primes(2, 1500, mode="exhaustive").records
 
     @staticmethod
-    def merged_at(records, cut, modulus):
+    def merged_at(records, cut, modulus, mode):
         tally = scan_module._tally(records[:cut], modulus)
         scan_module._merge_tally(tally, scan_module._tally(records[cut:], modulus))
-        return scan_module._finish_tally(tally, modulus)
+        return scan_module._finish_tally(tally, modulus, mode)
 
     @pytest.mark.parametrize("modulus", [24, 840])
     def test_every_cut_of_exhaustive_records(self, exhaustive, modulus):
         expected = reference_summary(exhaustive, modulus)
-        assert scan_module._summarize(exhaustive, modulus) == expected
+        assert scan_module._summarize(exhaustive, modulus, "exhaustive") == expected
         for cut in range(len(exhaustive) + 1):
-            assert self.merged_at(exhaustive, cut, modulus) == expected, cut
+            assert self.merged_at(exhaustive, cut, modulus, "exhaustive") == expected, cut
 
-    def test_first_only_and_mixed_records(self, exhaustive):
-        # A class with any first-only record has no witness statistics.
-        first_only = scan_primes(2, 1500).records
-        mixed = tuple(
-            a if i % 5 else b for i, (a, b) in enumerate(zip(exhaustive, first_only))
-        )
-        for records in (first_only, mixed):
-            expected = reference_summary(records, 24)
-            for cut in range(0, len(records) + 1, 7):
-                assert self.merged_at(records, cut, 24) == expected, cut
+    def test_first_only_records(self):
+        # A first-only scan has no witness statistics.
+        records = scan_primes(2, 1500).records
+        expected = reference_summary(records, 24)
+        assert scan_module._summarize(records, 24, "first-only") == expected
+        for cut in range(0, len(records) + 1, 7):
+            assert self.merged_at(records, cut, 24, "first-only") == expected, cut
 
 
 @pytest.fixture
@@ -279,23 +283,20 @@ def pool_sizes(monkeypatch):
 
 
 class TestScanParallel:
+    """The pooled stream against the in-process reference scan."""
+
     def test_worker_counts_agree(self):
-        base = scan_primes(2, 1500, mode="exhaustive", workers=1)
-        multi = scan_primes(2, 1500, mode="exhaustive", workers=3)
-        assert base.records == multi.records
-        assert base.counterexamples == multi.counterexamples
-        assert base.residue_summary == multi.residue_summary
+        report = scan_primes(2, 1500, mode="exhaustive")
+        assert_stream_matches(report, ScanStream(2, 1500, mode="exhaustive", workers=3))
 
     def test_worker_counts_agree_first_only(self):
-        base = scan_primes(2, 1500, mode="first-only", workers=1)
-        multi = scan_primes(2, 1500, mode="first-only", workers=4)
-        assert base.records == multi.records
+        report = scan_primes(2, 1500, mode="first-only")
+        assert_stream_matches(report, ScanStream(2, 1500, mode="first-only", workers=4))
 
     def test_pool_capped_at_usable_cpus(self, pool_sizes):
-        base = scan_primes(2, 5000, mode="first-only", workers=1)
-        multi = scan_primes(2, 5000, mode="first-only", workers=300)
+        report = scan_primes(2, 5000, mode="first-only")
+        assert_stream_matches(report, ScanStream(2, 5000, mode="first-only", workers=300))
         assert pool_sizes == [min(300, scan_module._usable_cpus())]
-        assert base.records == multi.records
 
     def test_counterexample_exit_code_pooled(self, pool_sizes, monkeypatch, tmp_path, capsys):
         # The same fabricated counterexamples as the CLI test, through the pool.
@@ -369,11 +370,20 @@ def exhaustive_rows(report):
     ]
 
 
+def reference_lines(rows):
+    """The record lines of reference_exhaustive rows, as a scan writes them."""
+    lines = []
+    for p, first, k1, k2, counts in rows:
+        w = None if first is None else Witness(p, first[0], first[1], SolutionType(first[2]))
+        lines.append(record_line(ScanRecord(p, w, k1, k2, counts, p % 24, p % 840)) + "\n")
+    return lines
+
+
 class TestExhaustiveReference:
     """Exhaustive records against an independent per-prime walk.
 
-    A chunk walks x over the windows of its own primes, so chunk edges
-    cut through x windows; the records must not see where they fall.
+    A stream chunk walks x over the windows of its own primes, so chunk
+    edges cut through x windows; the records must not see where they fall.
     """
 
     @pytest.fixture(scope="class")
@@ -386,12 +396,14 @@ class TestExhaustiveReference:
     def test_chunks_of_97(self, reference, monkeypatch):
         monkeypatch.setattr(scan_module, "_SPAN", 97)
         assert len(scan_module._chunk_bounds(2, 3000, 1)) == 31
-        assert exhaustive_rows(scan_primes(2, 3000, mode="exhaustive")) == reference
+        chunks = list(ScanStream(2, 3000, mode="exhaustive"))
+        assert len(chunks) == 31
+        assert "".join(chunks).splitlines(keepends=True) == reference_lines(reference)
 
     def test_pool_of_3(self, reference, pool_sizes):
-        report = scan_primes(2, 3000, mode="exhaustive", workers=3)
+        text = "".join(ScanStream(2, 3000, mode="exhaustive", workers=3))
         assert pool_sizes == [min(3, scan_module._usable_cpus())]
-        assert exhaustive_rows(report) == reference
+        assert text.splitlines(keepends=True) == reference_lines(reference)
 
 
 class TestScanDomain:
@@ -403,11 +415,11 @@ class TestScanDomain:
         with pytest.raises(DomainError):
             scan_primes(2, (1 << 32) + 1)
 
-    def test_bad_mode_and_workers(self):
+    def test_bad_mode(self):
         with pytest.raises(DomainError):
             scan_primes(2, 10, mode="everything")
         with pytest.raises(DomainError):
-            scan_primes(2, 10, workers=0)
+            ScanStream(2, 10, mode="everything")
 
 
 class TestRules:
@@ -543,6 +555,22 @@ class TestRuleCertificates:
         monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
         assert check_k0_type1_rule(500) == k0_rule_primes(500)
         assert check_divisor_k_rule(500) == [(p, k) for p, k, _ in divisor_k_rule_pairs(500)]
+
+    @pytest.mark.parametrize("list_everything", [False, True])
+    def test_prime_chunks_drop_and_repeat_nothing(self, monkeypatch, list_everything):
+        # The rules sieve [3, hi] chunk by chunk; with no candidates and
+        # no walk every case is listed, so a prime lost or repeated at a
+        # chunk edge would show.
+        if list_everything:
+            monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: ())
+            monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
+        whole = check_k0_type1_rule(20_000), check_divisor_k_rule(20_000)
+        monkeypatch.setattr(scan_module, "_SPAN", 97)
+        assert len(scan_module._chunk_bounds(3, 20_000, 1)) == 207
+        assert (check_k0_type1_rule(20_000), check_divisor_k_rule(20_000)) == whole
+        if list_everything:
+            assert whole[0] == k0_rule_primes(20_000)
+            assert whole[1] == [(p, k) for p, k, _ in divisor_k_rule_pairs(20_000)]
 
     def test_no_candidates_and_no_walk_lists_everything(self, monkeypatch, capsys):
         monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: ())
