@@ -11,6 +11,7 @@ everything built on it raise DomainError. Nothing is cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
@@ -29,7 +30,7 @@ def _sieve_upto(limit: int) -> list[int]:
     for i in range(2, isqrt(limit) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), flags))
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(_sieve_upto(_SIEVE_LIMIT))
@@ -121,7 +122,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
             flags[start - seg_lo :: p] = bytearray(
                 len(range(start, seg_hi + 1, p))
             )
-        out.extend(seg_lo + i for i, f in enumerate(flags) if f)
+        out.extend(compress(range(seg_lo, seg_hi + 1), flags))
     return out
 
 

@@ -5,7 +5,9 @@ in exhaustive mode, the full k sets and counts per type), tags each
 prime with its residues mod 24 and mod 840, and reports any prime
 with no witness at all as a counterexample. A task sieves a range of
 numbers and searches its primes one by one (first-only) or walks x
-once for all of them (exhaustive, witness._witnesses_x_major).
+once for all of them (exhaustive, witness._witnesses_x_major). A
+first-only task formats each line straight from the search's
+(x, d, type) tuple; scan_primes builds ScanRecord objects instead.
 ScanStream, the CLI's scan, runs one task per chunk of [lo, hi], in
 process or on a pool, and merges chunk results in order, so output is
 identical for any worker count. scan_primes runs [lo, hi] as one task
@@ -99,27 +101,43 @@ def _json_ints(values: Optional[tuple[int, ...]]) -> str:
     return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
 
 
+# The JSON text of each solution type, looked up faster than SolutionType.value.
+_TYPE_JSON = {t: f'"{t.value}"' for t in SolutionType}
+
+
+def _first_json(p: int, x: int, d: int, t: SolutionType) -> str:
+    """A first witness (p, x, d, t) as compact, key-sorted JSON."""
+    return f'{{"d":{d},"k":{x - _x_bounds(p)[0]},"p":{p},"type":{_TYPE_JSON[t]},"x":{x}}}'
+
+
+def _record_json(
+    first: str, p: int, residue_24: int, residue_840: int, k1: str, k2: str, counts: str
+) -> str:
+    """A record as compact, key-sorted JSON, from the JSON text of its fields."""
+    return (
+        f'{{"first":{first},"p":{p},"residue_24":{residue_24},"residue_840":{residue_840},'
+        f'"type1_k_set":{k1},"type2_k_set":{k2},"witness_counts":{counts}}}'
+    )
+
+
 def record_line(r: ScanRecord) -> str:
     """The record as one line of compact, key-sorted JSON, no newline.
 
     The same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":"))
     of the record's JSON object, formatted directly because a scan
-    writes one line per prime.
+    writes one line per prime. A first-only chunk task formats its
+    lines through the same _first_json and _record_json.
     """
     w = r.first
-    first = (
-        "null"
-        if w is None
-        else f'{{"d":{w.d},"k":{w.k},"p":{w.p},"type":"{w.type.value}","x":{w.x}}}'
-    )
     counts = r.witness_count_by_type
-    witness_counts = (
-        "null" if counts is None else f'{{"type1":{counts[0]},"type2":{counts[1]}}}'
-    )
-    return (
-        f'{{"first":{first},"p":{r.p},"residue_24":{r.residue_24},'
-        f'"residue_840":{r.residue_840},"type1_k_set":{_json_ints(r.type1_k_set)},'
-        f'"type2_k_set":{_json_ints(r.type2_k_set)},"witness_counts":{witness_counts}}}'
+    return _record_json(
+        "null" if w is None else _first_json(w.p, w.x, w.d, w.type),
+        r.p,
+        r.residue_24,
+        r.residue_840,
+        _json_ints(r.type1_k_set),
+        _json_ints(r.type2_k_set),
+        "null" if counts is None else f'{{"type1":{counts[0]},"type2":{counts[1]}}}',
     )
 
 
@@ -159,8 +177,8 @@ def _check_scan(lo: int, hi: int, mode: str) -> None:
     _check_range(lo, hi)
 
 
-# Widest chunk of numbers one scan task covers. A task's records are
-# built, formatted and handed back whole, so this bounds the memory a
+# Widest chunk of numbers one scan task covers. A task's record lines
+# are formatted and handed back whole, so this bounds the memory a
 # chunk holds (about 8,000 primes per chunk near 10**7).
 _SPAN = 1 << 17
 
@@ -202,7 +220,7 @@ def _exhaustive_records(primes: list[int]) -> list[ScanRecord]:
 
 
 def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
-    """The records of the primes in [lo, hi], ascending.
+    """The records of the primes in [lo, hi], ascending, for scan_primes.
 
     The primes come from the sieve, so neither mode repeats the primality
     check that the public first_witness and iter_witnesses make.
@@ -210,10 +228,12 @@ def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
     lo, hi, mode = task
     primes = primes_in_range(lo, hi)
     if mode == "first-only":
-        return [
-            ScanRecord(p, _first_witness_unchecked(p), None, None, None, p % 24, p % 840)
-            for p in primes
-        ]
+        records = []
+        for p in primes:
+            hit = _first_witness_unchecked(p)
+            w = None if hit is None else Witness(p, *hit)
+            records.append(ScanRecord(p, w, None, None, None, p % 24, p % 840))
+        return records
     return _exhaustive_records(primes)
 
 
@@ -266,9 +286,38 @@ def _summarize(records: Iterable[ScanRecord], modulus: int, mode: str) -> dict[i
     return _finish_tally(_tally(records, modulus), modulus, mode)
 
 
+def _first_only_text(lo: int, hi: int) -> tuple[str, _Tally, list[int]]:
+    """_chunk_text in first-only mode: one pass over the sieved primes,
+    no record objects.
+
+    Each line is formatted straight from the search's (x, d, type), in
+    the bytes record_line gives for the scan_primes record.
+    """
+    lines = []
+    tally: _Tally = {}
+    missing = []
+    for p in primes_in_range(lo, hi):
+        hit = _first_witness_unchecked(p)
+        residue = p % 24
+        entry = tally.setdefault(residue, [0, 0, 0, math.inf, 0])
+        entry[0] += 1
+        if hit is None:
+            first = "null"
+            missing.append(p)
+        else:
+            first = _first_json(p, *hit)
+            entry[1] += 1
+        lines.append(_record_json(first, p, residue, p % 840, "null", "null", "null"))
+    lines.append("")  # so the join ends the last line, if any, with a newline
+    return "\n".join(lines), tally, missing
+
+
 def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
     """Worker task: a chunk's record lines, its tally mod 24 and its counterexamples."""
-    records = _chunk_records(task)
+    lo, hi, mode = task
+    if mode == "first-only":
+        return _first_only_text(lo, hi)
+    records = _exhaustive_records(primes_in_range(lo, hi))
     text = "".join([record_line(r) + "\n" for r in records])
     return text, _tally(records, 24), [r.p for r in records if r.first is None]
 
@@ -319,8 +368,8 @@ class ScanStream:
 
     Iterating cuts [lo, hi] into chunks and runs them in process or on
     a pool of up to `workers` processes (see _run_chunks). Each task
-    formats its own records (record_line plus a newline) and tallies
-    them, so no ScanRecord leaves the process that built it, and a
+    formats its own record lines and tallies them, so only text, a
+    tally and counterexamples leave the process that ran it, and a
     chunk's text is kept only until it has been yielded. Once iteration
     ends, `report` is the scan's ScanReport: records=(), and the
     prime count, counterexamples and residue summary merged from the

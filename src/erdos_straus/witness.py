@@ -190,14 +190,16 @@ def first_witness(p: int) -> Optional[Witness]:
     or past 65537**2 that needs factoring raises DomainError.
     """
     _require_prime(p)
-    return _first_witness_unchecked(p)
+    hit = _first_witness_unchecked(p)
+    return None if hit is None else Witness(p, *hit)
 
 
-def _first_witness_unchecked(p: int) -> Optional[Witness]:
-    """first_witness without the primality check.
+def _first_witness_unchecked(p: int) -> Optional[tuple[int, int, SolutionType]]:
+    """The (x, d, type) of first_witness, without the primality check.
 
     Only for p already proven prime, such as the primes a scan sieved;
-    on a composite p the result means nothing.
+    on a composite p the result means nothing. A plain tuple, so a
+    first-only scan formats its record line without building a Witness.
     """
     lo, hi = _x_bounds(p)
     for x in range(lo, hi + 1):
@@ -207,9 +209,9 @@ def _first_witness_unchecked(p: int) -> Optional[Witness]:
         for d in _ascending_square_divisors(x):
             r = d % q
             if r == t1:
-                return Witness(p, x, d, SolutionType.TYPE_I)
+                return x, d, SolutionType.TYPE_I
             if r == t2 and d <= x:
-                return Witness(p, x, d, SolutionType.TYPE_II)
+                return x, d, SolutionType.TYPE_II
     return None
 
 

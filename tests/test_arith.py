@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import erdos_straus.arith as arith
 from erdos_straus import (
     DomainError,
     Factorization,
@@ -107,6 +108,22 @@ class TestPrimesInRange:
         assert out == [65519, 65521, 65537, 65539]
         for p in out:
             assert trial_division_is_prime(p)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (2**18 - 500, 2**19 + 500),  # two segments, the second 1,001 wide
+            (65_537, 65_537 + 2 * 2**18 + 3),  # three segments from a prime, the last 4 wide
+            (1_000_003 - 2**18 + 1, 1_000_003 + 500),  # the prime 1,000,003 ends segment one
+            (1_000_003 - 2**18, 1_000_003 + 500),  # and here it starts segment two
+        ],
+    )
+    def test_windows_across_segment_edges(self, lo, hi):
+        # Each segment is sieved on its own, so a prime lost, repeated or
+        # invented where one segment ends and the next begins shows here.
+        assert hi - lo + 1 > arith._SEGMENT_SIZE
+        assert is_prime(1_000_003)
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
     def test_low_clamped_to_two(self):
         assert primes_in_range(1, 10) == [2, 3, 5, 7]

@@ -322,6 +322,42 @@ class TestScanParallel:
         assert outs["1"] == outs["300"]
 
 
+class TestCounterexamplesInsideChunks:
+    """A few fabricated counterexamples among primes that keep their
+    witnesses: the stream's lines, tally and ordered counterexamples
+    must equal scan_primes' under the same patch."""
+
+    MISSING = (211, 1009, 1013, 2003, 2999)
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        search = scan_module._first_witness_unchecked
+        monkeypatch.setattr(
+            scan_module,
+            "_first_witness_unchecked",
+            lambda p: None if p in self.MISSING else search(p),
+        )
+        report = scan_primes(2, 3000)
+        assert report.counterexamples == self.MISSING
+        summary = report.residue_summary.values()
+        assert sum(e["count"] - e["with_witness"] for e in summary) == len(self.MISSING)
+        return report
+
+    def test_one_chunk(self, reference):
+        assert len(scan_module._chunk_bounds(2, 3000, 1)) == 1
+        assert_stream_matches(reference, ScanStream(2, 3000))
+
+    def test_chunks_of_97(self, reference, monkeypatch):
+        monkeypatch.setattr(scan_module, "_SPAN", 97)
+        bounds = scan_module._chunk_bounds(2, 3000, 1)
+        assert not set(self.MISSING) & {edge for bound in bounds for edge in bound}
+        assert_stream_matches(reference, ScanStream(2, 3000))
+
+    def test_pool_of_3(self, reference, pool_sizes):
+        assert_stream_matches(reference, ScanStream(2, 3000, workers=3))
+        assert pool_sizes == [min(3, scan_module._usable_cpus())]
+
+
 def reference_exhaustive(hi):
     """Exhaustive records of the primes <= hi as (p, first, k1, k2, counts),
     from a per-prime walk over divisors of x*x found by trial division.
