@@ -20,7 +20,7 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import CorrespondenceError, DomainError, InvalidSolutionError
-from .oracle import DEFAULT_CAP, solve_bruteforce
+from .oracle import DEFAULT_CAP, _solutions_x_major
 from .witness import (
     SolutionType,
     Witness,
@@ -130,7 +130,9 @@ def check_correspondences(primes: Sequence[int], oracle_cap: int = DEFAULT_CAP) 
     """check_correspondence for each of strictly ascending primes, in order.
 
     The witnesses of all the primes come from one x-major walk, grouped
-    by prime, so each x is factored once for every prime it serves.
+    by prime, so each x is factored once for every prime it serves. The
+    oracle's solutions come prime by prime from its own x-major walk,
+    and each prime's witnesses are dropped once the prime is checked.
     """
     for i, p in enumerate(primes):
         _require_prime(p)
@@ -139,11 +141,17 @@ def check_correspondences(primes: Sequence[int], oracle_cap: int = DEFAULT_CAP) 
     found: dict[int, list[Witness]] = {p: [] for p in primes}
     for w in _witnesses_x_major(primes):
         found[w.p].append(w)
-    return [line for p in primes for line in _correspondence_problems(p, found[p], oracle_cap)]
+    return [
+        line
+        for p, solutions in _solutions_x_major(primes, oracle_cap)
+        for line in _correspondence_problems(p, found.pop(p), solutions)
+    ]
 
 
-def _correspondence_problems(p: int, witnesses: list[Witness], oracle_cap: int) -> list[str]:
-    """The violations of check_correspondence for p, given all of p's witnesses."""
+def _correspondence_problems(
+    p: int, witnesses: list[Witness], solutions: list[tuple[int, int, int]]
+) -> list[str]:
+    """The violations of check_correspondence for p, from all of its witnesses and solutions."""
     problems: list[str] = []
 
     witness_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
@@ -159,7 +167,7 @@ def _correspondence_problems(p: int, witnesses: list[Witness], oracle_cap: int) 
             problems.append(f"p={p}: forward round-trip {w} -> {s} -> {back}")
 
     oracle_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
-    for x, y, z in solve_bruteforce(p, cap=oracle_cap):
+    for x, y, z in solutions:
         try:
             w = recover_witness(p, x, y)
         except (DomainError, CorrespondenceError) as exc:

@@ -1,5 +1,6 @@
-"""Brute-force oracle: exactness, ordering, pinned output, and no numpy."""
+"""Brute-force oracle: exactness, ordering, pinned output, batches, independence."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -13,9 +14,13 @@ from hypothesis import strategies as st
 from erdos_straus import (
     DomainError,
     ResourceLimitError,
+    primes_in_range,
     solve_bruteforce,
     verify_identity,
 )
+from erdos_straus.oracle import _solutions_x_major
+
+ORACLE_SRC = Path(__file__).parents[1] / "src" / "erdos_straus" / "oracle.py"
 
 
 def reference_solver(n: int) -> list[tuple[int, int, int]]:
@@ -74,6 +79,42 @@ class TestAgainstReference:
         assert solve_bruteforce(n) == reference_solver(n)
 
 
+class TestBatch:
+    """One x-major walk over many n says what solve_bruteforce says per n."""
+
+    def test_dense_batch_small(self):
+        ns = range(2, 151)
+        batch = list(_solutions_x_major(ns))
+        assert [n for n, _ in batch] == list(ns)
+        for n, sols in batch:
+            assert sols == solve_bruteforce(n) == reference_solver(n), n
+
+    # reference_solver takes about 0.4 s for one n near 1500, so the
+    # 80 primes in [1000, 1500] are held to solve_bruteforce alone.
+    @pytest.mark.parametrize(
+        "ns, with_reference",
+        [([2], True), ([97], True), ([5, 997, 1499], True), (primes_in_range(1000, 1500), False)],
+        ids=["2", "97", "5-997-1499", "primes-1000-1500"],
+    )
+    def test_sparse_batches(self, ns, with_reference):
+        batch = list(_solutions_x_major(ns))
+        assert [n for n, _ in batch] == list(ns)
+        for n, sols in batch:
+            assert sols == solve_bruteforce(n), n
+            if with_reference:
+                assert sols == reference_solver(n), n
+
+    def test_guards(self):
+        assert list(_solutions_x_major([])) == []
+        for bad in ([5, 3], [3, 3], [1, 5], [0], [2, 7, 7]):
+            with pytest.raises(DomainError):
+                _solutions_x_major(bad)
+        # raised by the call itself, before the walk yields anything
+        with pytest.raises(ResourceLimitError):
+            _solutions_x_major([5, 151], cap=150)
+        assert [n for n, _ in _solutions_x_major([5, 150], cap=150)] == [5, 150]
+
+
 class TestInvariants:
     @given(st.integers(min_value=2, max_value=400))
     @settings(max_examples=60, deadline=None)
@@ -119,3 +160,21 @@ def test_package_does_not_import_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_imports_only_stdlib_and_errors():
+    # The two routes agree meaningfully only if the oracle shares no
+    # code with arith, witness or recover.
+    tree = ast.parse(ORACLE_SRC.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append((node.level, node.module))
+    assert (1, "errors") in imported
+    for level, module in imported:
+        if level:
+            assert (level, module) == (1, "errors"), module
+        else:
+            assert module.split(".")[0] in sys.stdlib_module_names, module

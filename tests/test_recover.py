@@ -111,12 +111,16 @@ class TestCorrespondence:
             assert check_correspondence(p, oracle_cap=300) == [], p
 
 
-def _patch_oracle(monkeypatch, edit):
-    """Make check_correspondence see edit(true oracle triples)."""
-    true_oracle = recover_module.solve_bruteforce
-    monkeypatch.setattr(
-        recover_module, "solve_bruteforce", lambda p, cap: edit(true_oracle(p, cap=cap))
-    )
+def _patch_oracle(monkeypatch, edit, only=None):
+    """Make check_correspondence(s) see edit(true oracle triples) for
+    every prime, or for the prime only alone."""
+    true_oracle = recover_module._solutions_x_major
+
+    def edited(ns, cap):
+        for n, sols in true_oracle(ns, cap):
+            yield n, edit(sols) if only in (None, n) else sols
+
+    monkeypatch.setattr(recover_module, "_solutions_x_major", edited)
 
 
 class TestCorrespondenceViolations:
@@ -165,6 +169,17 @@ class TestCorrespondenceOverRange:
         per_prime = [line for p in primes for line in check_correspondence(p, oracle_cap=300)]
         assert check_correspondences(primes, oracle_cap=300) == per_prime
         assert bool(per_prime) == violated
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda ts: ts[1:], lambda ts: ts + ts[:1], lambda ts: ts + [(11, 50, 60)]],
+        ids=["drop", "duplicate", "non-solution"],
+    )
+    def test_fault_on_one_prime_is_reported_for_it_alone(self, monkeypatch, edit):
+        _patch_oracle(monkeypatch, edit, only=41)
+        problems = check_correspondences([37, 41, 43])
+        assert problems
+        assert all(line.startswith("p=41: ") for line in problems), problems
 
     def test_domain(self):
         assert check_correspondences([]) == []
