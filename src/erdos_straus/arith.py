@@ -17,6 +17,15 @@ from typing import Iterator
 
 from .errors import DomainError
 
+__all__ = [
+    "Factorization",
+    "divisors",
+    "divisors_of_square",
+    "factorize",
+    "is_prime",
+    "primes_in_range",
+]
+
 _SIEVE_LIMIT = 1 << 16
 _SEGMENT_SIZE = 1 << 18
 
@@ -187,12 +196,6 @@ def divisors(n: int) -> list[int]:
     return _expand_divisors(factorize(n).factors)
 
 
-def _square_divisors(x: int) -> tuple[int, ...]:
-    """Divisors of x*x ascending, via doubled exponents of factorize(x)."""
-    doubled = tuple((p, 2 * e) for p, e in factorize(x).factors)
-    return tuple(_expand_divisors(doubled))
-
-
 def divisors_of_square(x: int) -> list[int]:
     """All divisors of x*x, ascending, via doubled exponents of factorize(x).
 
@@ -200,4 +203,4 @@ def divisors_of_square(x: int) -> list[int]:
     """
     if x < 1:
         raise DomainError(f"divisors_of_square expects x >= 1, got {x}")
-    return list(_square_divisors(x))
+    return _expand_divisors(tuple((p, 2 * e) for p, e in factorize(x).factors))

@@ -176,6 +176,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    # Imported at call time: perfbench/tracing.py wraps arith.primes_in_range,
+    # and a module-level import would bind the unwrapped function, so the
+    # arith.primes_in_range_s span would read 0 on compare.
     from .arith import primes_in_range
 
     primes = primes_in_range(args.lo, args.hi)

@@ -8,6 +8,15 @@ the package implements (exit 5).
 
 from __future__ import annotations
 
+__all__ = [
+    "ErdosStrausError",
+    "DomainError",
+    "InvalidSolutionError",
+    "ResourceLimitError",
+    "ConsistencyError",
+    "CorrespondenceError",
+]
+
 
 class ErdosStrausError(Exception):
     """Base class for every error this package raises."""

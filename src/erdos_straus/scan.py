@@ -219,24 +219,6 @@ def _exhaustive_records(primes: list[int]) -> list[ScanRecord]:
     return records
 
 
-def _chunk_records(task: tuple[int, int, str]) -> list[ScanRecord]:
-    """The records of the primes in [lo, hi], ascending, for scan_primes.
-
-    The primes come from the sieve, so neither mode repeats the primality
-    check that the public first_witness and iter_witnesses make.
-    """
-    lo, hi, mode = task
-    primes = primes_in_range(lo, hi)
-    if mode == "first-only":
-        records = []
-        for p in primes:
-            hit = _first_witness_unchecked(p)
-            w = None if hit is None else Witness(p, *hit)
-            records.append(ScanRecord(p, w, None, None, None, p % 24, p % 840))
-        return records
-    return _exhaustive_records(primes)
-
-
 # A tally maps each residue class to [count, with_witness, k0_type1,
 # min_total, max_total]. Only exhaustive records carry witness counts;
 # first-only ones leave the last three at their start values.
@@ -350,12 +332,22 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
     """
     _check_scan(lo, hi, mode)
     start = time.perf_counter()
-    records = tuple(_chunk_records((lo, hi, mode)))
+    # The primes come from the sieve, so neither mode repeats the
+    # primality check that the public first_witness and iter_witnesses make.
+    primes = primes_in_range(lo, hi)
+    if mode == "exhaustive":
+        records = _exhaustive_records(primes)
+    else:
+        records = []
+        for p in primes:
+            hit = _first_witness_unchecked(p)
+            w = None if hit is None else Witness(p, *hit)
+            records.append(ScanRecord(p, w, None, None, None, p % 24, p % 840))
     return ScanReport(
         lo=lo,
         hi=hi,
         mode=mode,
-        records=records,
+        records=tuple(records),
         counterexamples=tuple(r.p for r in records if r.first is None),
         residue_summary=_summarize(records, 24, mode),
         elapsed=time.perf_counter() - start,

@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .arith import _square_divisors, is_prime
+from .arith import divisors_of_square, is_prime
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -100,7 +100,7 @@ def _ascending_square_divisors(x: int) -> Iterator[int]:
         if xx % d == 0:
             yield d
     if xx > _PROBE_LIMIT:
-        divs = _square_divisors(x)
+        divs = divisors_of_square(x)
         yield from islice(divs, bisect_right(divs, _PROBE_LIMIT), None)
 
 
@@ -152,7 +152,7 @@ def _witnesses_x_major(primes: Sequence[int]) -> Iterator[Witness]:
         first, last = bisect_left(primes, 2 * x - 1), bisect_right(primes, 4 * x)
         if first == last:
             continue
-        divs = _square_divisors(x)
+        divs = divisors_of_square(x)
         for p in primes[first:last]:
             q = 4 * x - p
             t1 = (-p * x) % q
