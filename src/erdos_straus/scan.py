@@ -106,8 +106,12 @@ _TYPE_JSON = {t: f'"{t.value}"' for t in SolutionType}
 
 
 def _first_json(p: int, x: int, d: int, t: SolutionType) -> str:
-    """A first witness (p, x, d, t) as compact, key-sorted JSON."""
-    return f'{{"d":{d},"k":{x - _x_bounds(p)[0]},"p":{p},"type":{_TYPE_JSON[t]},"x":{x}}}'
+    """A first witness (p, x, d, t) as compact, key-sorted JSON.
+
+    k = x - ceil(p/4), with _x_bounds' ceil(p/4) inlined: this runs
+    once per prime of a first-only scan.
+    """
+    return f'{{"d":{d},"k":{x - (p + 3) // 4},"p":{p},"type":{_TYPE_JSON[t]},"x":{x}}}'
 
 
 def _record_json(
@@ -281,7 +285,9 @@ def _first_only_text(lo: int, hi: int) -> tuple[str, _Tally, list[int]]:
     for p in primes_in_range(lo, hi):
         hit = _first_witness_unchecked(p)
         residue = p % 24
-        entry = tally.setdefault(residue, [0, 0, 0, math.inf, 0])
+        entry = tally.get(residue)
+        if entry is None:  # setdefault would build a spare list per prime
+            entry = tally[residue] = [0, 0, 0, math.inf, 0]
         entry[0] += 1
         if hit is None:
             first = "null"
@@ -398,9 +404,10 @@ class ScanStream:
 def _type1_candidates(x: int, k: int) -> tuple[int, ...]:
     """Closed-form type I witnesses d for the rules, tried at x = ceil(p/4) + k.
 
-    k = 0, p % 24 != 1: q = 4x - p is 1 when p % 4 == 3, so d = 1 works.
-    Otherwise q = 3 and -p*x = 2 (mod 3), met by d = 2 when p % 24 is 5
-    or 13 (x is even) and by d = x when p % 24 == 17 (x = 2 mod 3).
+    k = 0, p % 24 != 1: by the proof at witness._first_witness_unchecked,
+    d = 1 works when p % 4 == 3, and otherwise type I holds for each
+    d = 2 (mod 3): d = 2 when x is even (p % 24 in {5, 13}) and d = x
+    when x = 2 (mod 3) (p % 24 in {5, 17}).
 
     k | m with p = 4m - 1: q = 4k + 1, so 4k = -1 and p = 4x (mod q),
     and -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.

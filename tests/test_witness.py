@@ -25,6 +25,19 @@ from erdos_straus import (
 PRIMES_TO_400 = primes_in_range(2, 400)
 
 
+def _full_walk_first(p):
+    """(x, d, type) of p's first witness, found by testing every divisor
+    of x*x in turn: no small-divisor probe and no k = 0 fast path."""
+    for x in range((p + 3) // 4, (p + 1) // 2 + 1):
+        q = 4 * x - p
+        for d in divisors_of_square(x):
+            if (p * x + d) % q == 0:
+                return x, d, SolutionType.TYPE_I
+            if d <= x and (x + d) % q == 0:
+                return x, d, SolutionType.TYPE_II
+    return None
+
+
 class TestXRange:
     def test_spot_values(self):
         assert x_range(2) == (1, 1)
@@ -134,6 +147,27 @@ class TestFirstWitness:
             if w.d > witness_module._PROBE_LIMIT:
                 fallback.append(p)
         assert fallback
+
+    @pytest.mark.parametrize("lo, hi", [(2, 10**6), (2**32 - 10**5, 2**32)])
+    def test_search_core_equals_the_full_divisor_walk(self, lo, hi):
+        # The core tries d in {1, 2} at ceil(p/4), then probes small
+        # divisors before factoring x; the reference does neither.
+        for p in primes_in_range(lo, hi):
+            assert witness_module._first_witness_unchecked(p) == _full_walk_first(p), p
+
+    def test_fast_path_residue_table(self):
+        # The proof in _first_witness_unchecked's docstring: the answer
+        # is at k = 0 with d <= 2 iff p % 24 != 1, as (d, type) below.
+        table = {5: (1, SolutionType.TYPE_II), 17: (1, SolutionType.TYPE_II),
+                 13: (2, SolutionType.TYPE_I)}
+        for p in primes_in_range(3, 10**6 - 1):
+            x, d, t = witness_module._first_witness_unchecked(p)
+            at_fast_path = x == (p + 3) // 4 and d <= 2
+            assert at_fast_path == (p % 24 != 1), p
+            if p % 4 == 3:
+                assert (d, t) == (1, SolutionType.TYPE_I), p
+            elif p % 24 != 1:
+                assert (d, t) == table[p % 24], p
 
     def test_public_function_rejects_non_primes(self):
         # Only the scan's private core skips the primality check.
