@@ -9,9 +9,15 @@ witness rebuilds exactly (y, z), with q = 4*x - p:
   type II: d = q*(y/p) - x
 
 Every property the characterization promises about d is re-derived
-rather than assumed; a failure raises CorrespondenceError because it
-would be a counterexample, not a usage problem. check_correspondence(s)
-drive the full two-way comparison against the brute-force oracle.
+rather than assumed, each tested once; a failure raises
+CorrespondenceError because it would be a counterexample, not a usage
+problem. check_correspondence(s) drive the full two-way comparison
+against the brute-force oracle. They build each witness once, which
+certifies its solution, and re-derive the witness from that solution
+(the forward round trip). An oracle solution equal to one that
+round-tripped forward round-trips backward by the same derivation and
+build, so only the other oracle solutions are recovered with
+recover_witness and rebuilt.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ from .witness import (
     _witnesses_x_major,
     _x_bounds,
     build_solution,
-    check_type1,
-    check_type2,
     verify_identity,
 )
 
@@ -70,6 +74,34 @@ def _solution_prefix_z(p: int, x: int, y: int) -> int:
     return z
 
 
+def _derive_witness(p: int, x: int, y: int) -> tuple[Witness, int]:
+    """The witness read from the solution (x, y, z) of 4/p, and that z.
+
+    recover_witness without its primality test of p and its rebuild
+    check: p must already be proven prime.
+    """
+    z = _solution_prefix_z(p, x, y)
+    q = 4 * x - p
+    if y % p:
+        t, d = SolutionType.TYPE_I, q * y - p * x
+    else:
+        t, d = SolutionType.TYPE_II, q * (y // p) - x
+    if d < 1:
+        raise CorrespondenceError(f"recovered d={d} < 1 for p={p}, x={x}, y={y}")
+    if (x * x) % d != 0:
+        raise CorrespondenceError(f"recovered d={d} does not divide {x}**2")
+    lo, hi = _x_bounds(p)
+    if not lo <= x <= hi:
+        raise CorrespondenceError(f"solution x={x} outside [{lo}, {hi}] for p={p}")
+    if t is SolutionType.TYPE_I:
+        congruent = (p * x + d) % q == 0
+    else:
+        congruent = d <= x and (x + d) % q == 0
+    if not congruent:
+        raise CorrespondenceError(f"type {t.value} congruence fails for recovered d={d}")
+    return Witness(p, x, d, t), z
+
+
 def recover_witness(p: int, x: int, y: int) -> Witness:
     """The unique witness of the solution (x, y, z) of 4/p, given p, x, y.
 
@@ -79,23 +111,7 @@ def recover_witness(p: int, x: int, y: int) -> Witness:
     and that the rebuilt solution reproduces (y, z).
     """
     _require_prime(p)
-    z = _solution_prefix_z(p, x, y)
-
-    q = 4 * x - p
-    if y % p:
-        t, d, congruence = SolutionType.TYPE_I, q * y - p * x, check_type1
-    else:
-        t, d, congruence = SolutionType.TYPE_II, q * (y // p) - x, check_type2
-    if d < 1:
-        raise CorrespondenceError(f"recovered d={d} < 1 for p={p}, x={x}, y={y}")
-    if (x * x) % d != 0:
-        raise CorrespondenceError(f"recovered d={d} does not divide {x}**2")
-    lo, hi = _x_bounds(p)
-    if not lo <= x <= hi:
-        raise CorrespondenceError(f"solution x={x} outside [{lo}, {hi}] for p={p}")
-    if not congruence(p, x, d):
-        raise CorrespondenceError(f"type {t.value} congruence fails for recovered d={d}")
-    w = Witness(p, x, d, t)
+    w, z = _derive_witness(p, x, y)
     rebuilt = build_solution(w)
     if (rebuilt.y, rebuilt.z) != (y, z):
         raise CorrespondenceError(
@@ -122,6 +138,11 @@ def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
         is the identity;
       - backward round-trip: oracle solution -> witness -> rebuilt
         solution is the identity.
+
+    Each witness is built once. An oracle solution that a witness built
+    and recovered round-trips backward by the forward trip itself; only
+    the other oracle solutions are recovered with recover_witness and
+    rebuilt.
     """
     return check_correspondences((p,), oracle_cap)
 
@@ -154,10 +175,20 @@ def _correspondence_problems(
     """The violations of check_correspondence for p, from all of its witnesses and solutions."""
     problems: list[str] = []
 
+    # A forward trip that re-derives w makes recover_witness on its
+    # solution return w, rebuilt to the same certified solution.
+    round_tripped: dict[tuple[int, int, int], Witness] = {}
     witness_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
     for w in witnesses:
         s = build_solution(w)
-        witness_side[s.type, (s.x, s.y, s.z)] += 1
+        triple = (s.x, s.y, s.z)
+        witness_side[s.type, triple] += 1
+        try:
+            if _derive_witness(p, s.x, s.y)[0] == w:
+                round_tripped[triple] = w
+                continue
+        except (DomainError, CorrespondenceError):
+            pass
         try:
             back = recover_witness(s.p, s.x, s.y)
         except (DomainError, CorrespondenceError) as exc:
@@ -168,17 +199,20 @@ def _correspondence_problems(
 
     oracle_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
     for x, y, z in solutions:
-        try:
-            w = recover_witness(p, x, y)
-        except (DomainError, CorrespondenceError) as exc:
-            problems.append(f"p={p}: backward recovery failed for {(x, y, z)}: {exc}")
-            continue
+        w = round_tripped.get((x, y, z))
+        if w is None:
+            try:
+                w = recover_witness(p, x, y)
+            except (DomainError, CorrespondenceError) as exc:
+                problems.append(f"p={p}: backward recovery failed for {(x, y, z)}: {exc}")
+                continue
+            # recover_witness reads only (x, y), so a wrong z shows here.
+            s = build_solution(w)
+            if (s.x, s.y, s.z) != (x, y, z):
+                problems.append(
+                    f"p={p}: backward round-trip {(x, y, z)} -> {w} -> {(s.x, s.y, s.z)}"
+                )
         oracle_side[w.type, (x, y, z)] += 1
-        s = build_solution(w)
-        if (s.x, s.y, s.z) != (x, y, z):
-            problems.append(
-                f"p={p}: backward round-trip {(x, y, z)} -> {w} -> {(s.x, s.y, s.z)}"
-            )
 
     if witness_side != oracle_side:
         problems.append(

@@ -1,10 +1,13 @@
 """Divisor recovery: classification, round trips, oracle agreement."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erdos_straus import (
+    CorrespondenceError,
     DomainError,
     InvalidSolutionError,
     SolutionType,
@@ -189,3 +192,115 @@ class TestCorrespondenceOverRange:
             check_correspondences([5, 3])
         with pytest.raises(DomainError):
             check_correspondences([3, 3])
+
+
+def _reference_problems(p, witnesses, solutions):
+    """The two-way check as first written: every witness built and
+    recovered, every oracle triple recovered and rebuilt."""
+    problems = []
+    witness_side = Counter()
+    for w in witnesses:
+        s = build_solution(w)
+        witness_side[s.type, (s.x, s.y, s.z)] += 1
+        try:
+            back = recover_witness(s.p, s.x, s.y)
+        except (DomainError, CorrespondenceError) as exc:
+            problems.append(f"p={p}: forward round-trip failed for {w}: {exc}")
+            continue
+        if back != w:
+            problems.append(f"p={p}: forward round-trip {w} -> {s} -> {back}")
+    oracle_side = Counter()
+    for x, y, z in solutions:
+        try:
+            w = recover_witness(p, x, y)
+        except (DomainError, CorrespondenceError) as exc:
+            problems.append(f"p={p}: backward recovery failed for {(x, y, z)}: {exc}")
+            continue
+        oracle_side[w.type, (x, y, z)] += 1
+        s = build_solution(w)
+        if (s.x, s.y, s.z) != (x, y, z):
+            problems.append(f"p={p}: backward round-trip {(x, y, z)} -> {w} -> {(s.x, s.y, s.z)}")
+    if witness_side != oracle_side:
+
+        def listing(side):
+            return "[" + ", ".join(f"{t.value} {s}" for t, s in sorted(side.elements())) + "]"
+
+        problems.append(
+            f"p={p}: solutions differ (oracle-only {listing(oracle_side - witness_side)}, "
+            f"witness-only {listing(witness_side - oracle_side)})"
+        )
+    return problems
+
+
+def _reference_check(primes, cap):
+    found = {p: [] for p in primes}
+    for w in recover_module._witnesses_x_major(primes):
+        found[w.p].append(w)
+    return [
+        line
+        for p, solutions in recover_module._solutions_x_major(primes, cap)
+        for line in _reference_problems(p, found.pop(p), solutions)
+    ]
+
+
+def _patch_witnesses(monkeypatch, edit):
+    """Make check_correspondences see edit(the walk's witnesses, in order)."""
+    true_walk = recover_module._witnesses_x_major
+
+    def edited(ps):
+        return iter(edit(list(true_walk(ps))))
+
+    monkeypatch.setattr(recover_module, "_witnesses_x_major", edited)
+
+
+class TestCertifiedOnce:
+    """check_correspondences builds each witness once and recovers no
+    solution a witness built, yet says what the full check says."""
+
+    @pytest.mark.parametrize(
+        "oracle_edit, witness_edit",
+        [
+            (None, None),
+            (lambda ts: ts[1:], None),
+            (lambda ts: ts + ts[:1], None),
+            (lambda ts: ts + [(11, 50, 60)], None),
+            (lambda ts: [(x, y, z + 1) for x, y, z in ts[:1]] + ts[1:], None),
+            (None, lambda ws: ws[:500] + ws[501:]),
+            (None, lambda ws: ws[:501] + ws[500:]),
+        ],
+        ids=[
+            "clean",
+            "oracle-drop",
+            "oracle-duplicate",
+            "oracle-non-solution",
+            "oracle-wrong-z",
+            "witness-drop",
+            "witness-duplicate",
+        ],
+    )
+    def test_equals_the_full_two_way_check(self, monkeypatch, oracle_edit, witness_edit):
+        if oracle_edit:
+            _patch_oracle(monkeypatch, oracle_edit)
+        if witness_edit:
+            _patch_witnesses(monkeypatch, witness_edit)
+        expected = _reference_check(PRIMES_TO_300, 300)
+        assert check_correspondences(PRIMES_TO_300, oracle_cap=300) == expected
+        assert bool(expected) == bool(oracle_edit or witness_edit)
+
+    def test_one_build_per_witness_and_no_recovery(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(recover_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+
+            monkeypatch.setattr(recover_module, name, wrapper)
+
+        counted("build_solution")
+        counted("recover_witness")
+        assert check_correspondences(PRIMES_TO_300, oracle_cap=300) == []
+        assert calls == {"build_solution": 1563}
+        assert sum(len(enumerate_witnesses(p)) for p in PRIMES_TO_300) == 1563
