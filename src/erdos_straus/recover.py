@@ -184,18 +184,14 @@ def _correspondence_problems(
         triple = (s.x, s.y, s.z)
         witness_side[s.type, triple] += 1
         try:
-            if _derive_witness(p, s.x, s.y)[0] == w:
-                round_tripped[triple] = w
-                continue
-        except (DomainError, CorrespondenceError):
-            pass
-        try:
-            back = recover_witness(s.p, s.x, s.y)
+            back, _ = _derive_witness(p, s.x, s.y)
         except (DomainError, CorrespondenceError) as exc:
             problems.append(f"p={p}: forward round-trip failed for {w}: {exc}")
             continue
         if back != w:
             problems.append(f"p={p}: forward round-trip {w} -> {s} -> {back}")
+            continue
+        round_tripped[triple] = w
 
     oracle_side: Counter[tuple[SolutionType, tuple[int, int, int]]] = Counter()
     for x, y, z in solutions:
