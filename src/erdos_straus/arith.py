@@ -3,9 +3,11 @@
 Everything here is deterministic and exact. Primality uses fixed
 Miller-Rabin witness tiers that are proven complete below
 3_317_044_064_679_887_385_961_981 (about 2**81.3); no probabilistic
-answers are ever returned. Factorization is trial division by the
-primes below 2**16, complete for n < 65537**2; past that bound it and
-everything built on it raise DomainError. Nothing is cached.
+answers are ever returned. primes_in_range sieves its window in one
+pass, so its memory follows the window. Factorization is trial
+division by the primes below 2**16, complete for n < 65537**2; past
+that bound it and everything built on it raise DomainError. Nothing
+is cached.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
 ]
 
 _SIEVE_LIMIT = 1 << 16
-_SEGMENT_SIZE = 1 << 18
 
 
 def _sieve_upto(limit: int) -> list[int]:
@@ -107,32 +108,26 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending, segment-sieved.
+    """All primes p with lo <= p <= hi, ascending, from one sieve pass.
 
-    Memory stays O(segment + pi(sqrt(hi))) regardless of hi - lo.
+    Memory follows the window: one flag byte per number in it, besides
+    the primes returned and, past 65537**2, the base primes to sqrt(hi).
+    Callers that walk a wide range sieve it a bounded window at a time.
     """
     if lo > hi:
         raise DomainError(f"empty range: lo={lo} > hi={hi}")
     lo = max(lo, 2)
     if lo > hi:
         return []
-    if hi <= _SIEVE_LIMIT:
-        return [p for p in _SMALL_PRIMES if lo <= p <= hi]
     root = isqrt(hi)
-    base = _SMALL_PRIMES if root <= _SIEVE_LIMIT else tuple(_sieve_upto(root))
-    out: list[int] = []
-    for seg_lo in range(lo, hi + 1, _SEGMENT_SIZE):
-        seg_hi = min(seg_lo + _SEGMENT_SIZE - 1, hi)
-        flags = bytearray([1]) * (seg_hi - seg_lo + 1)
-        for p in base:
-            if p * p > seg_hi:
-                break
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            flags[start - seg_lo :: p] = bytearray(
-                len(range(start, seg_hi + 1, p))
-            )
-        out.extend(compress(range(seg_lo, seg_hi + 1), flags))
-    return out
+    base = _SMALL_PRIMES if root <= _SIEVE_LIMIT else _sieve_upto(root)
+    flags = bytearray([1]) * (hi - lo + 1)
+    for p in base:
+        if p > root:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), flags))
 
 
 @dataclass(frozen=True, slots=True)

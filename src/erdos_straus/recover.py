@@ -16,8 +16,8 @@ against the brute-force oracle. They build each witness once, which
 certifies its solution, and re-derive the witness from that solution
 (the forward round trip). An oracle solution equal to one that
 round-tripped forward round-trips backward by the same derivation and
-build, so only the other oracle solutions are recovered with
-recover_witness and rebuilt.
+build. Each other oracle solution has its witness derived from (x, y)
+by _derive_witness and built once, which must give back its z.
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
         solution is the identity.
 
     Each witness is built once. An oracle solution that a witness built
-    and recovered round-trips backward by the forward trip itself; only
-    the other oracle solutions are recovered with recover_witness and
-    rebuilt.
+    and recovered round-trips backward by the forward trip itself; each
+    other oracle solution has its witness derived by _derive_witness
+    and is built once.
     """
     return check_correspondences((p,), oracle_cap)
 
@@ -198,11 +198,11 @@ def _correspondence_problems(
         w = round_tripped.get((x, y, z))
         if w is None:
             try:
-                w = recover_witness(p, x, y)
+                w, _ = _derive_witness(p, x, y)
             except (DomainError, CorrespondenceError) as exc:
                 problems.append(f"p={p}: backward recovery failed for {(x, y, z)}: {exc}")
                 continue
-            # recover_witness reads only (x, y), so a wrong z shows here.
+            # The derivation reads only (x, y), so a wrong z shows here.
             s = build_solution(w)
             if (s.x, s.y, s.z) != (x, y, z):
                 problems.append(

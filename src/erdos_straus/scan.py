@@ -313,15 +313,15 @@ def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
 def _run_chunks(lo: int, hi: int, mode: str, workers: int) -> Iterator[tuple[str, _Tally, list]]:
     """_chunk_text of each chunk of [lo, hi], results in chunk order.
 
-    One worker, or a range that makes one chunk, runs in process.
-    Otherwise the chunks go to a pool of at most one process per usable
-    CPU, and each result is yielded as soon as it and every chunk
-    before it are done.
+    The pool would have one process per worker, capped at the usable
+    CPUs. When that is one process, or the range makes one chunk, the
+    chunks run in process. Otherwise each pool result is yielded as
+    soon as it and every chunk before it are done.
     """
     processes = min(workers, _usable_cpus())
-    parts = 1 if workers == 1 else _CHUNKS_PER_PROCESS * processes
+    parts = 1 if processes == 1 else _CHUNKS_PER_PROCESS * processes
     chunks = [(a, b, mode) for a, b in _chunk_bounds(lo, hi, parts)]
-    if workers == 1 or len(chunks) == 1:
+    if processes == 1 or len(chunks) == 1:
         yield from map(_chunk_text, chunks)
         return
     with Pool(processes=processes) as pool:

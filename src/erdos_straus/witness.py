@@ -206,9 +206,10 @@ def _first_witness_unchecked(p: int) -> Optional[tuple[int, int, SolutionType]]:
     on a composite p the result means nothing. A plain tuple, so a
     first-only scan formats its record line without building a Witness.
 
-    Before the walk, x = ceil(p/4) is tried with d = 1 and, for even x,
-    d = 2, by the walk's own congruences in the walk's order. 1 and 2
-    are the two smallest divisors of x*x, so a hit is the walk's answer.
+    Before the walk, x = ceil(p/4) is tried with d = 1 by both of the
+    walk's congruences and, for even x, with d = 2 by type I, in the
+    walk's order. 1 and 2 are the two smallest divisors of x*x, so a
+    hit is the walk's answer, and a miss leaves every test to the walk.
     The proof that this settles every prime p % 24 != 1, with q = 4x - p:
 
     - p = 2: x = 1 and q = 2; type I fails (3 is odd), (1, 1, II) holds.
@@ -216,11 +217,12 @@ def _first_witness_unchecked(p: int) -> Optional[tuple[int, int, SolutionType]]:
     - Otherwise q = 3, so x = (p + 3)/4, which p % 24 fixes mod 6, and
       x = 4x = p (mod 3). So 3 divides no d | x*x and x*x = 1 (mod 3).
       Type I holds at (x, d) iff p*x + d = x*x + d = 1 + d = 0, i.e.
-      d = 2 (mod 3); for d <= 2 <= x, type II holds iff x + d = 0
+      d = 2 (mod 3), and type II holds at (x, 1) iff x + 1 = 0
       (mod 3). So d = 1 fails type I.
       - p % 24 in {5, 17}: x = 2 (mod 3), and (x, 1, II) holds.
       - p % 24 == 13: x = 1 (mod 3), so d = 1 fails type II; x is
-        even, and (x, 2, I) holds.
+        even, and (x, 2, I) holds. No other class gets to d = 2, so
+        type II is never tested there before the walk.
       - p % 24 == 1: x = 1 (mod 3) and x is odd, so d = 1 fails both
         and 2 does not divide x*x: these primes, and only these, go on
         to the walk, which starts again at x = ceil(p/4).
@@ -231,11 +233,8 @@ def _first_witness_unchecked(p: int) -> Optional[tuple[int, int, SolutionType]]:
         return lo, 1, SolutionType.TYPE_I
     if (lo + 1) % q == 0:
         return lo, 1, SolutionType.TYPE_II
-    if lo % 2 == 0:  # so lo >= 2 and d = 2 <= x, as type II needs
-        if (p * lo + 2) % q == 0:
-            return lo, 2, SolutionType.TYPE_I
-        if (lo + 2) % q == 0:
-            return lo, 2, SolutionType.TYPE_II
+    if lo % 2 == 0 and (p * lo + 2) % q == 0:
+        return lo, 2, SolutionType.TYPE_I
     for x in range(lo, hi + 1):
         q = 4 * x - p
         t1 = (-p * x) % q

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import erdos_straus.arith as arith
 from erdos_straus import (
     DomainError,
     Factorization,
@@ -102,8 +101,8 @@ class TestPrimesInRange:
         assert primes_in_range(2, 5000) == expected
         assert primes_in_range(1000, 3000) == [p for p in expected if 1000 <= p <= 3000]
 
-    def test_segmented_path_above_sieve_limit(self):
-        # Windows past 2**16 force the segment machinery; endpoints prime.
+    def test_window_across_sieve_limit(self):
+        # A window across 2**16, the top of the stored small primes; endpoints prime.
         out = primes_in_range(65519, 65539)
         assert out == [65519, 65521, 65537, 65539]
         for p in out:
@@ -112,21 +111,23 @@ class TestPrimesInRange:
     @pytest.mark.parametrize(
         "lo, hi",
         [
-            (2**18 - 500, 2**19 + 500),  # two segments, the second 1,001 wide
-            (65_537, 65_537 + 2 * 2**18 + 3),  # three segments from a prime, the last 4 wide
-            (1_000_003 - 2**18 + 1, 1_000_003 + 500),  # the prime 1,000,003 ends segment one
-            (1_000_003 - 2**18, 1_000_003 + 500),  # and here it starts segment two
+            (2**18 - 500, 2**19 + 500),  # across 2**18 and 2**19
+            (65_537, 65_537 + 2 * 2**18 + 3),  # from a prime, over 2**19 numbers
+            (1_000_003 - 2**18 + 1, 1_000_003 + 500),  # the prime 1,000,003 is number 2**18
+            (1_000_003 - 2**18, 1_000_003 + 500),  # and here number 2**18 + 1
+            (2**32 - 10**5, 2**32),  # the top of the scan range
+            (65_537**2 - 1000, 65_537**2 + 1000),  # base primes from _sieve_upto(65537)
         ],
     )
     def test_windows_across_segment_edges(self, lo, hi):
-        # Each segment is sieved on its own, so a prime lost, repeated or
-        # invented where one segment ends and the next begins shows here.
-        assert hi - lo + 1 > arith._SEGMENT_SIZE
+        # Wide windows, and windows at 2**32 and past 65537**2, each against
+        # an is_prime filter: a prime the one pass loses, repeats or invents shows.
         assert is_prime(1_000_003)
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
     def test_low_clamped_to_two(self):
         assert primes_in_range(1, 10) == [2, 3, 5, 7]
+        assert primes_in_range(0, 1) == []
 
 
 class TestFactorize:

@@ -122,7 +122,7 @@ class TestScan:
     @pytest.mark.parametrize("lo, hi", [(2, 3000), (65_521, 70_001)])
     def test_first_only_identical_across_threads(self, tmp_path, capsys, lo, hi):
         # 65521 and 70001 are primes, and the range straddles 2**16,
-        # where the sieve switches to its segmented path.
+        # the top of the sieve's stored small primes.
         outputs = [self.scan_outputs(tmp_path, lo, hi, t) for t in (1, 2, 3)]
         capsys.readouterr()
         assert outputs[0][0].startswith(b'{"first":') and outputs[0][0].endswith(b"}\n")

@@ -76,6 +76,14 @@ class TestRecoverType2:
         with pytest.raises(DomainError):
             recover_witness(7, 3, 7)  # no z completes (3, 7)
 
+    def test_guards_on_x_and_ordering(self):
+        with pytest.raises(DomainError, match="x and y must be positive"):
+            recover_witness(41, 0, 41)
+        # (14, 574) is the (x, z) of the solution (14, 41, 574); read as
+        # (x, y), its completion z = 41 falls below y.
+        with pytest.raises(DomainError, match="completion z=41 breaks ordering for y=574"):
+            recover_witness(41, 14, 574)
+
 
 class TestRoundTrips:
     @given(st.sampled_from(PRIMES_TO_300))
@@ -287,7 +295,10 @@ class TestCertifiedOnce:
         assert check_correspondences(PRIMES_TO_300, oracle_cap=300) == expected
         assert bool(expected) == bool(oracle_edit or witness_edit)
 
-    def test_one_build_per_witness_and_no_recovery(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the calls check_correspondences makes to build_solution
+        and recover_witness."""
         calls = Counter()
 
         def counted(name):
@@ -301,6 +312,18 @@ class TestCertifiedOnce:
 
         counted("build_solution")
         counted("recover_witness")
+        return calls
+
+    def test_one_build_per_witness_and_no_recovery(self, calls):
         assert check_correspondences(PRIMES_TO_300, oracle_cap=300) == []
         assert calls == {"build_solution": 1563}
         assert sum(len(enumerate_witnesses(p)) for p in PRIMES_TO_300) == 1563
+
+    def test_one_build_per_unmatched_triple(self, monkeypatch, calls):
+        # Each prime's first triple gets a wrong z, so none of the 62 is
+        # matched by a witness; each is derived and built once, not recovered.
+        _patch_oracle(monkeypatch, lambda ts: [(x, y, z + 1) for x, y, z in ts[:1]] + ts[1:])
+        problems = check_correspondences(PRIMES_TO_300, oracle_cap=300)
+        assert calls == {"build_solution": 1563 + 62}
+        assert problems == _reference_check(PRIMES_TO_300, 300)
+        assert len(PRIMES_TO_300) == 62 and len(problems) == 124

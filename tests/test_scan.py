@@ -262,7 +262,9 @@ class TestTally:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Swap in a pool that maps serially and records its size, so no
-    process is started whatever size is asked for."""
+    process is started whatever size is asked for, on a host that
+    seems to have 4 usable CPUs."""
+    monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 4)
     sizes = []
 
     class SerialPool:
@@ -296,7 +298,7 @@ class TestScanParallel:
     def test_pool_capped_at_usable_cpus(self, pool_sizes):
         report = scan_primes(2, 5000, mode="first-only")
         assert_stream_matches(report, ScanStream(2, 5000, mode="first-only", workers=300))
-        assert pool_sizes == [min(300, scan_module._usable_cpus())]
+        assert pool_sizes == [4]
 
     def test_counterexample_exit_code_pooled(self, pool_sizes, monkeypatch, tmp_path, capsys):
         # The same fabricated counterexamples as the CLI test, through the pool.
@@ -304,7 +306,7 @@ class TestScanParallel:
         out = tmp_path / "scan.jsonl"
         assert main(["scan", "2", "30", "--threads", "2", "--out", str(out)]) == 3
         assert "counterexamples" in capsys.readouterr().err
-        assert pool_sizes == [min(2, scan_module._usable_cpus())]
+        assert pool_sizes == [2]
         summary = json.loads(Path(f"{out}.summary.json").read_text())
         assert summary["counterexamples"] == primes_in_range(2, 30)
         assert all(json.loads(line)["first"] is None for line in out.read_text().splitlines())
@@ -318,7 +320,7 @@ class TestScanParallel:
             assert summary["workers"] == int(threads)
             outs[threads] = out.read_bytes()
         capsys.readouterr()
-        assert pool_sizes == [min(300, scan_module._usable_cpus())]
+        assert pool_sizes == [4]
         assert outs["1"] == outs["300"]
 
 
@@ -355,7 +357,12 @@ class TestCounterexamplesInsideChunks:
 
     def test_pool_of_3(self, reference, pool_sizes):
         assert_stream_matches(reference, ScanStream(2, 3000, workers=3))
-        assert pool_sizes == [min(3, scan_module._usable_cpus())]
+        assert pool_sizes == [3]
+
+    def test_3_workers_on_one_usable_cpu_run_in_process(self, reference, pool_sizes, monkeypatch):
+        monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 1)
+        assert_stream_matches(reference, ScanStream(2, 3000, workers=3))
+        assert pool_sizes == []
 
 
 def reference_exhaustive(hi):
@@ -438,7 +445,7 @@ class TestExhaustiveReference:
 
     def test_pool_of_3(self, reference, pool_sizes):
         text = "".join(ScanStream(2, 3000, mode="exhaustive", workers=3))
-        assert pool_sizes == [min(3, scan_module._usable_cpus())]
+        assert pool_sizes == [3]
         assert text.splitlines(keepends=True) == reference_lines(reference)
 
 
