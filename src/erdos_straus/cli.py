@@ -28,6 +28,8 @@ from .report import (
 )
 from .scan import (
     ScanStream,
+    _check_cap,
+    _check_rule_hi,
     check_divisor_k_rule,
     check_k0_type1_rule,
     summary_line,
@@ -177,6 +179,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # arith.primes_in_range_s span would read 0 on compare.
     from .arith import primes_in_range
 
+    _check_cap(args.hi)
     primes = primes_in_range(args.lo, args.hi)
     problems = check_correspondences(primes, oracle_cap=args.hi)
     if args.json:
@@ -201,6 +204,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_properties(args: argparse.Namespace) -> int:
     divisor_hi = args.divisor_hi if args.divisor_hi is not None else args.hi
+    _check_rule_hi(args.hi)
+    _check_rule_hi(divisor_hi)
     k0_violations = check_k0_type1_rule(args.hi)
     divisor_violations = check_divisor_k_rule(divisor_hi)
     if args.json:

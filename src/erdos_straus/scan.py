@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Any, Iterable, Iterator, Optional
 
-from .arith import divisors, primes_in_range
+from .arith import divisors, divisors_of_square, primes_in_range
 from .errors import DomainError
 from .witness import (
     SolutionType,
     Witness,
-    _ascending_square_divisors,
     _first_witness_unchecked,
     _witnesses_x_major,
     _x_bounds,
@@ -160,10 +159,8 @@ def summary_line(report: ScanReport, workers: int) -> str:
     return json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
-def _check_range(lo: int, hi: int) -> None:
-    """DomainError unless 2 <= lo <= hi <= 2**32, the range every scan supports."""
-    if not 2 <= lo <= hi:
-        raise DomainError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+def _check_cap(hi: int) -> None:
+    """DomainError if hi > 2**32, the top of every range a command sieves."""
     if hi > _HI_CAP:
         raise DomainError(f"hi={hi} exceeds the supported cap {_HI_CAP}")
 
@@ -176,9 +173,12 @@ def _usable_cpus() -> int:
 
 
 def _check_scan(lo: int, hi: int, mode: str) -> None:
+    """DomainError unless mode is known and 2 <= lo <= hi <= 2**32."""
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-    _check_range(lo, hi)
+    if not 2 <= lo <= hi:
+        raise DomainError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+    _check_cap(hi)
 
 
 # Widest chunk of numbers one scan task covers. A task's record lines
@@ -401,54 +401,45 @@ class ScanStream:
         )
 
 
-def _type1_candidates(x: int, k: int) -> tuple[int, ...]:
-    """Closed-form type I witnesses d for the rules, tried at x = ceil(p/4) + k.
-
-    k = 0, p % 24 != 1: by the proof at witness._first_witness_unchecked,
-    d = 1 works when p % 4 == 3, and otherwise type I holds for each
-    d = 2 (mod 3): d = 2 when x is even (p % 24 in {5, 13}) and d = x
-    when x = 2 (mod 3) (p % 24 in {5, 17}).
-
-    k | m with p = 4m - 1: q = 4k + 1, so 4k = -1 and p = 4x (mod q),
-    and -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.
-    """
-    return (1, 2, x) if k == 0 else (x * x // k,)
-
-
-def _has_type1_witness_at(p: int, x: int, candidates: Iterable[int]) -> bool:
-    """True iff some d | x*x has d = -p*x (mod 4x - p).
-
-    Each candidate is checked exactly, and one that does not divide x*x
-    is skipped. Only if none passes are the divisors of x*x walked, so
-    False means every divisor failed.
-    """
+def _has_type1_witness_at(p: int, x: int, d: int) -> bool:
+    """True iff some divisor e of x*x has e = -p*x (mod 4x - p). The
+    closed-form d is tested exactly, and only if it fails are the
+    divisors of x*x walked, so False means every divisor failed."""
     q = 4 * x - p
     target = (-p * x) % q
-    xx = x * x
-    for d in candidates:
-        if xx % d == 0 and d % q == target:
-            return True
-    return any(d % q == target for d in _ascending_square_divisors(x))
+    if x * x % d == 0 and d % q == target:
+        return True
+    return any(e % q == target for e in divisors_of_square(x))
+
+
+def _check_rule_hi(hi: int) -> None:
+    """DomainError unless 3 <= hi <= 2**32, the bound either rule takes."""
+    if hi < 3:
+        raise DomainError(f"need hi >= 3, got hi={hi}")
+    _check_cap(hi)
 
 
 def _rule_primes(hi: int) -> Iterator[int]:
-    """The primes 3 <= p <= hi, hi checked first, sieved one chunk of at
-    most _SPAN numbers at a time, so a rule holds one chunk's primes."""
-    if hi < 3:
-        raise DomainError(f"need hi >= 3, got hi={hi}")
-    _check_range(3, hi)
+    """The primes 3 <= p <= hi, sieved at most _SPAN numbers at a time,
+    so a rule holds one chunk's primes; hi is checked first."""
+    _check_rule_hi(hi)
     return (p for a, b in _chunk_bounds(3, hi, 1) for p in primes_in_range(a, b))
 
 
 def check_k0_type1_rule(hi: int) -> list[int]:
     """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
-    the smallest x. Expected empty."""
+    the smallest x. Expected empty.
+
+    d follows the proof at witness._first_witness_unchecked: 1 for
+    p % 4 == 3 (q = 1); otherwise q = 3 and any d = 2 (mod 3) works: 2
+    for even x, and x for odd x (p % 24 == 17, where x = 2 (mod 3)).
+    """
     violations = []
     for p in _rule_primes(hi):
         if p % 24 == 1:
             continue
         x = _x_bounds(p)[0]
-        if not _has_type1_witness_at(p, x, _type1_candidates(x, 0)):
+        if not _has_type1_witness_at(p, x, 1 if p % 4 == 3 else 2 if x % 2 == 0 else x):
             violations.append(p)
     return violations
 
@@ -458,6 +449,8 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
     and no type I witness at x = m + k. Expected empty.
 
     Every such k lies in the k range, whose top is ceil(p/2) - m = m.
+    d = x*x/k: q = 4k + 1, so 4k = -1 and p = 4x (mod q), and
+    -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.
     """
     violations = []
     for p in _rule_primes(hi):
@@ -465,7 +458,8 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
             continue
         m = _x_bounds(p)[0]
         for k in divisors(m):
-            if not _has_type1_witness_at(p, m + k, _type1_candidates(m + k, k)):
+            x = m + k
+            if not _has_type1_witness_at(p, x, x * x // k):
                 violations.append((p, k))
     return violations
 

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import erdos_straus.arith as arith_module
 import erdos_straus.cli as cli
 import erdos_straus.scan as scan_module
-from erdos_straus import SolutionType, k_table, k_table_csv, k_table_json
+from erdos_straus import CorrespondenceError, SolutionType, k_table, k_table_csv, k_table_json
 from erdos_straus.cli import main
 
 
@@ -271,6 +272,29 @@ class TestCompare:
         assert main(["compare", "2", "10"]) == 5
         assert "VIOLATION" in capsys.readouterr().out
 
+    def test_hi_above_scan_cap_is_refused_before_sieving(self, monkeypatch, capsys):
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr(arith_module, "primes_in_range", no_sieve)
+        assert main(["compare", "2", "100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert "error: hi=100000000000 exceeds the supported cap 4294967296" in err
+
+    def test_lo_below_two_is_clamped(self, capsys):
+        assert main(["compare", "0", "100", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["primes"] == 25
+
+    def test_correspondence_error_exits_5(self, monkeypatch, capsys):
+        def raising(primes, oracle_cap):
+            raise CorrespondenceError("planted for p=7")
+
+        monkeypatch.setattr(cli, "check_correspondences", raising)
+        assert main(["compare", "2", "10"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "correspondence violation: planted for p=7" in captured.err
+
     def test_no_cap_option(self, capsys):
         # The oracle cap is hi, the largest compared prime, so no cap can be set.
         with pytest.raises(SystemExit) as exc:
@@ -298,6 +322,22 @@ class TestProperties:
     def test_hi_above_scan_cap_is_usage_error(self, capsys):
         assert main(["properties", str((1 << 32) + 1)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["3000000", "--divisor-hi", "1"], "need hi >= 3, got hi=1"),
+            (["3000000", "--divisor-hi", str((1 << 32) + 1)], "exceeds the supported cap"),
+            (["2", "--divisor-hi", "100"], "need hi >= 3, got hi=2"),
+        ],
+    )
+    def test_both_bounds_checked_before_either_rule(self, monkeypatch, capsys, argv, message):
+        calls = []
+        monkeypatch.setattr(cli, "check_k0_type1_rule", lambda hi: calls.append(hi) or [])
+        monkeypatch.setattr(cli, "check_divisor_k_rule", lambda hi: calls.append(hi) or [])
+        assert main(["properties", *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
 
     def test_violation_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "check_k0_type1_rule", lambda hi: [97])

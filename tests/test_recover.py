@@ -112,6 +112,67 @@ class TestRoundTrips:
         assert (s.y, s.z) == (41, 574)
 
 
+class TestUnreachableRaises:
+    """Checks that no solution of 4/p for prime p fails, reached through
+    composite n, whose solutions the characterization does not cover,
+    or through a patched seam."""
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (2, 3, "recovered d=-1 < 1 for p=5, x=2, y=3"),
+            (2, 6, "recovered d=8 does not divide 2**2"),
+            (4, 2, "solution x=4 outside [2, 3] for p=5"),
+            (2, 10, "type II congruence fails for recovered d=4"),
+        ],
+    )
+    def test_derive_witness_checks_each_property(self, monkeypatch, x, y, message):
+        # With no z to complete, (x, y) need not come from a solution.
+        monkeypatch.setattr(recover_module, "_solution_prefix_z", lambda p, x, y: y)
+        with pytest.raises(CorrespondenceError) as exc:
+            recover_module._derive_witness(5, x, y)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "n, x, y, z, message",
+        [
+            (6, 2, 9, 18, "recovered d=6 does not divide 2**2"),
+            (6, 4, 4, 6, "solution x=4 outside [2, 3] for p=6"),
+        ],
+    )
+    def test_derive_witness_rejects_composite_n(self, n, x, y, z, message):
+        assert (x, y, z) in solve_bruteforce(n)
+        with pytest.raises(CorrespondenceError) as exc:
+            recover_module._derive_witness(n, x, y)
+        assert str(exc.value) == message
+
+    def test_recover_witness_checks_the_rebuild(self, monkeypatch):
+        derive = recover_module._derive_witness
+        monkeypatch.setattr(recover_module, "_derive_witness", lambda p, x, y: (derive(p, x, y)[0], 21))
+        with pytest.raises(CorrespondenceError) as exc:
+            recover_witness(5, 2, 4)
+        assert str(exc.value) == (
+            f"rebuild mismatch: witness {Witness(5, 2, 2, SolutionType.TYPE_I)} gives (4, 20), "
+            "solution has (4, 21)"
+        )
+
+    def test_failed_forward_derivation_is_listed(self, monkeypatch):
+        def failing(p, x, y):
+            raise CorrespondenceError("planted")
+
+        monkeypatch.setattr(recover_module, "_derive_witness", failing)
+        w = Witness(5, 2, 2, SolutionType.TYPE_I)
+        problems = recover_module._correspondence_problems(5, [w], [(2, 4, 20)])
+        assert problems[0] == f"p=5: forward round-trip failed for {w}: planted"
+
+    def test_wrong_forward_derivation_is_listed(self, monkeypatch):
+        other = Witness(5, 2, 1, SolutionType.TYPE_II)
+        monkeypatch.setattr(recover_module, "_derive_witness", lambda p, x, y: (other, 10))
+        w = Witness(5, 2, 2, SolutionType.TYPE_I)
+        problems = recover_module._correspondence_problems(5, [w], [(2, 4, 20)])
+        assert problems[0] == f"p=5: forward round-trip {w} -> {build_solution(w)} -> {other}"
+
+
 class TestCorrespondence:
     def test_clean_for_sample_primes(self):
         for p in (2, 3, 5, 41, 73, 97, 113, 193):

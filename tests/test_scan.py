@@ -546,9 +546,31 @@ class TestRuleCertificates:
             count += 1
         assert count > 100_000
 
-    def test_candidates_are_the_identities(self):
-        assert scan_module._type1_candidates(5, 0) == (1, 2, 5)
-        assert scan_module._type1_candidates(12, 3) == (48,)
+    def test_each_visit_tests_one_closed_form(self, monkeypatch):
+        seen = []
+        test = scan_module._has_type1_witness_at
+
+        def recording_test(p, x, d):
+            seen.append((p, x, d))
+            return test(p, x, d)
+
+        monkeypatch.setattr(scan_module, "_has_type1_witness_at", recording_test)
+        assert check_k0_type1_rule(3000) == []
+        expected = []
+        for p in k0_rule_primes(3000):
+            x = (p + 3) // 4
+            expected.append((p, x, 1 if p % 4 == 3 else 2 if p % 24 in (5, 13) else x))
+        assert seen == expected
+        seen.clear()
+        assert check_divisor_k_rule(3000) == []
+        assert seen == [(p, x, x * x // k) for p, k, x in divisor_k_rule_pairs(3000)]
+
+    def test_closed_forms_never_walk_to_one_hundred_thousand(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: walked.append(x) or [])
+        assert check_k0_type1_rule(100_000) == []
+        assert check_divisor_k_rule(100_000) == []
+        assert walked == []
 
     def test_rules_equal_the_full_walk(self):
         assert check_k0_type1_rule(20_000) == full_walk_k0_rule(20_000)
@@ -562,27 +584,29 @@ class TestRuleCertificates:
             for x in range(lo, hi + 1):
                 expected = full_walk_has_type1(p, x)
                 misses += not expected
-                got = scan_module._has_type1_witness_at(p, x, (1, 2, x, x * x + 1))
-                assert got == expected, (p, x)
+                for d in (1, 2, x, x * x + 1):
+                    assert scan_module._has_type1_witness_at(p, x, d) == expected, (p, x, d)
         assert misses > 0
-        assert not scan_module._has_type1_witness_at(73, 19, (1, 2, 19))
+        assert not scan_module._has_type1_witness_at(73, 19, 19)
 
     def test_failed_candidate_falls_back_to_the_walk(self):
-        # p = 5, x = 2: q = 3 and the target is 2; d = 1 divides 4 but misses.
-        assert scan_module._has_type1_witness_at(5, 2, (1,))
-        assert scan_module._has_type1_witness_at(5, 2, ())
+        # p = 5, x = 2: q = 3 and the target is 2; d = 1 divides 4 but
+        # misses, and d = 5 hits the target but does not divide 4.
+        assert scan_module._has_type1_witness_at(5, 2, 1)
+        assert scan_module._has_type1_witness_at(5, 2, 5)
 
     def test_fallback_finds_witnesses_when_candidates_fail(self, monkeypatch):
-        # Candidates that never divide x*x: every witness comes from the walk.
+        # A d that never divides x*x: every witness comes from the walk.
         walked = []
-        walk = scan_module._ascending_square_divisors
+        walk = scan_module.divisors_of_square
+        test = scan_module._has_type1_witness_at
 
         def counting_walk(x):
             walked.append(x)
             return walk(x)
 
-        monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: (x * x + 1, 2 * x * x))
-        monkeypatch.setattr(scan_module, "_ascending_square_divisors", counting_walk)
+        monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: test(p, x, x * x + 1))
+        monkeypatch.setattr(scan_module, "divisors_of_square", counting_walk)
         assert check_k0_type1_rule(3000) == []
         assert len(walked) == len(k0_rule_primes(3000))
         walked.clear()
@@ -590,23 +614,27 @@ class TestRuleCertificates:
         assert len(walked) == len(divisor_k_rule_pairs(3000))
 
     def test_non_divisors_never_certify(self, monkeypatch):
-        # 4k + 3 consecutive values above x*x cover every residue mod q,
-        # yet none divides x*x, so with no walk every case is a violation.
-        monkeypatch.setattr(
-            scan_module, "_type1_candidates", lambda x, k: tuple(range(x * x + 1, x * x + 4 * k + 4))
-        )
-        monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
+        # Each visit gets the least d above x*x in the target class mod q:
+        # congruent, yet no divisor of x*x, so with no walk every case is
+        # a violation.
+        test = scan_module._has_type1_witness_at
+
+        def congruent_non_divisor(p, x, d):
+            q = 4 * x - p
+            return test(p, x, x * x + 1 + (-p * x - x * x - 1) % q)
+
+        monkeypatch.setattr(scan_module, "_has_type1_witness_at", congruent_non_divisor)
+        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
         assert check_k0_type1_rule(500) == k0_rule_primes(500)
         assert check_divisor_k_rule(500) == [(p, k) for p, k, _ in divisor_k_rule_pairs(500)]
 
     @pytest.mark.parametrize("list_everything", [False, True])
     def test_prime_chunks_drop_and_repeat_nothing(self, monkeypatch, list_everything):
-        # The rules sieve [3, hi] chunk by chunk; with no candidates and
-        # no walk every case is listed, so a prime lost or repeated at a
+        # The rules sieve [3, hi] chunk by chunk; with every witness test
+        # failing every case is listed, so a prime lost or repeated at a
         # chunk edge would show.
         if list_everything:
-            monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: ())
-            monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
+            monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: False)
         whole = check_k0_type1_rule(20_000), check_divisor_k_rule(20_000)
         monkeypatch.setattr(scan_module, "_SPAN", 97)
         assert len(scan_module._chunk_bounds(3, 20_000, 1)) == 207
@@ -616,8 +644,10 @@ class TestRuleCertificates:
             assert whole[1] == [(p, k) for p, k, _ in divisor_k_rule_pairs(20_000)]
 
     def test_no_candidates_and_no_walk_lists_everything(self, monkeypatch, capsys):
-        monkeypatch.setattr(scan_module, "_type1_candidates", lambda x, k: ())
-        monkeypatch.setattr(scan_module, "_ascending_square_divisors", lambda x: iter(()))
+        # d = x*x + 1 never divides x*x, and the walk finds nothing.
+        test = scan_module._has_type1_witness_at
+        monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: test(p, x, x * x + 1))
+        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
         assert check_k0_type1_rule(2000) == k0_rule_primes(2000)
         assert check_divisor_k_rule(2000) == [(p, k) for p, k, _ in divisor_k_rule_pairs(2000)]
         assert main(["properties", "200"]) == 5

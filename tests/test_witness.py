@@ -220,6 +220,29 @@ class TestBuildSolution:
         with pytest.raises(ConsistencyError):
             build_solution(Witness(10, 3, 1, SolutionType.TYPE_I))  # composite
 
+    def test_d_not_dividing_x_squared_rejected(self):
+        with pytest.raises(ConsistencyError, match=r"^d=3 does not divide 2\*\*2$"):
+            build_solution(Witness(5, 2, 3, SolutionType.TYPE_I))
+
+    def test_ordering_violation_rejected(self, monkeypatch):
+        # x = 5 is past the x range of p = 5; widened, d = 5 divides exactly.
+        monkeypatch.setattr(witness_module, "_x_bounds", lambda p: (1, p))
+        with pytest.raises(ConsistencyError, match="^ordering violated: x=5, y=2, z=10$"):
+            build_solution(Witness(5, 5, 5, SolutionType.TYPE_I))
+
+    def test_type_mismatch_rejected(self, monkeypatch):
+        # For a prime p, p | y exactly for type II; the composite 6 breaks that.
+        monkeypatch.setattr(witness_module, "is_prime", lambda n: True)
+        with pytest.raises(ConsistencyError, match="^type does not match divisibility of y=9$"):
+            build_solution(Witness(6, 2, 1, SolutionType.TYPE_II))
+
+    def test_identity_failure_rejected(self, monkeypatch):
+        monkeypatch.setattr(witness_module, "verify_identity", lambda p, x, y, z: False)
+        w = Witness(5, 2, 2, SolutionType.TYPE_I)
+        with pytest.raises(ConsistencyError) as exc:
+            build_solution(w)
+        assert str(exc.value) == f"identity fails for witness {w}"
+
     def test_witness_accessors(self):
         w = Witness(41, 14, 1, SolutionType.TYPE_II)
         assert w.k == 3
