@@ -1,13 +1,14 @@
 """Exact integer primitives: primality, sieving, factorization, divisors.
 
-Everything here is deterministic and exact. Primality uses fixed
-Miller-Rabin witness tiers that are proven complete below
-3_317_044_064_679_887_385_961_981 (about 2**81.3); no probabilistic
-answers are ever returned. primes_in_range sieves its window in one
-pass, so its memory follows the window. Factorization is trial
-division by the primes below 2**16, complete for n < 65537**2; past
-that bound it and everything built on it raise DomainError. Nothing
-is cached.
+Everything here is deterministic and exact. Primality uses one of two
+fixed Miller-Rabin base sets: (2, 7, 61), proven complete below
+4_759_123_141 (Jaeschke 1993), and the 13 primes up to 41, proven
+complete below 3_317_044_064_679_887_385_961_981, about 2**81.3
+(Sorenson and Webster 2015); no probabilistic answers are ever
+returned. primes_in_range sieves its window in one pass, so its
+memory follows the window. Factorization is trial division by the
+primes below 2**16, complete for n < 65537**2; past that bound it
+and everything built on it raise DomainError. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -46,23 +47,12 @@ def _sieve_upto(limit: int) -> list[int]:
 _SMALL_PRIMES: tuple[int, ...] = tuple(_sieve_upto(_SIEVE_LIMIT))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
-# (bound, witnesses): the witness set is complete for n < bound.
-_MR_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (4_759_123_141, (2, 7, 61)),
-    (1_122_004_669_633, (2, 13, 23, 1662803)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
-_MR_EXACT_BOUND = _MR_TIERS[-1][0]
+# Each base set is complete for n below its bound. Miller-Rabin runs only
+# for n > 2**16, above every base, so no base is a multiple of n.
+_MR_SMALL_BOUND = 4_759_123_141
+_MR_SMALL_BASES = (2, 7, 61)
+_MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _mr_witness_passes(n: int, a: int, d: int, r: int) -> bool:
@@ -99,12 +89,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for bound, witnesses in _MR_TIERS:
-        if n < bound:
-            return all(
-                a % n == 0 or _mr_witness_passes(n, a, d, r) for a in witnesses
-            )
-    raise AssertionError("unreachable: bound checked above")
+    bases = _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_EXACT_BASES
+    return all(_mr_witness_passes(n, a, d, r) for a in bases)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -154,17 +154,17 @@ def check_correspondences(primes: Sequence[int], oracle_cap: int = DEFAULT_CAP) 
     by prime, so each x is factored once for every prime it serves. The
     oracle's solutions come prime by prime from its own x-major walk,
     and each prime's witnesses are dropped once the prime is checked.
+    The oracle checks order and cap before either walk starts.
     """
-    for i, p in enumerate(primes):
+    for p in primes:
         _require_prime(p)
-        if i and p <= primes[i - 1]:
-            raise DomainError(f"primes must ascend strictly, got {primes[i - 1]} then {p}")
+    oracle = _solutions_x_major(primes, oracle_cap)
     found: dict[int, list[Witness]] = {p: [] for p in primes}
     for w in _witnesses_x_major(primes):
         found[w.p].append(w)
     return [
         line
-        for p, solutions in _solutions_x_major(primes, oracle_cap)
+        for p, solutions in oracle
         for line in _correspondence_problems(p, found.pop(p), solutions)
     ]
 

@@ -283,7 +283,7 @@ def build_solution(w: Witness) -> Solution:
             raise ConsistencyError(f"type II requires d <= x: {w}")
         y_num = p * (x + d)
         z_num = p * (x + xx // d)
-    else:  # pragma: no cover - enum is closed
+    else:  # Witness does not validate its type field
         raise ConsistencyError(f"unknown solution type: {w.type!r}")
     if y_num % q != 0 or z_num % q != 0:
         raise ConsistencyError(f"non-exact division for witness {w}")

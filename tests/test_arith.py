@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import erdos_straus.arith as arith
 from erdos_straus import (
     DomainError,
     Factorization,
@@ -76,6 +77,40 @@ class TestIsPrime:
         with pytest.raises(DomainError):
             is_prime(3_317_044_064_679_887_385_961_981)
 
+    def test_agrees_with_the_sieve_across_the_base_set_switch(self):
+        # (2, 7, 61) below 4,759,123,141, the 13 primes <= 41 from there on;
+        # primes_in_range sieves this window with base primes from _sieve_upto.
+        lo, hi = 4_759_123_141 - 10**5, 4_759_123_141 + 10**5
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+    @pytest.mark.parametrize(
+        "n, bases",
+        [
+            # The least strong pseudoprime to each set of bases: the bound
+            # below which that set is complete (Jaeschke 1993; Sorenson and
+            # Webster 2015). Each defeats its bases, so is_prime needs more.
+            (2_047, (2,)),
+            (1_373_653, (2, 3)),
+            (9_080_191, (31, 73)),
+            (25_326_001, (2, 3, 5)),
+            (3_215_031_751, (2, 3, 5, 7)),
+            (4_759_123_141, (2, 7, 61)),
+            (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+            (2_152_302_898_747, (2, 3, 5, 7, 11)),
+            (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+            (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+            (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+            (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n, bases):
+        d = n - 1
+        r = (d & -d).bit_length() - 1
+        assert all(arith._mr_witness_passes(n, a, d >> r, r) for a in bases)
+        assert not is_prime(n)
+        if n < 65_537**2:
+            assert sum(e for _, e in factorize(n)) > 1
+
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=300)
     def test_matches_trial_division(self, n):
@@ -129,6 +164,11 @@ class TestPrimesInRange:
         assert primes_in_range(1, 10) == [2, 3, 5, 7]
         assert primes_in_range(0, 1) == []
 
+    def test_plain_sieve_below_two_is_empty(self):
+        # primes_in_range clamps lo to 2 and never asks _sieve_upto for less.
+        assert arith._sieve_upto(1) == []
+        assert arith._sieve_upto(2) == [2]
+
 
 class TestFactorize:
     def test_unit(self):
@@ -137,6 +177,7 @@ class TestFactorize:
     def test_spot_values(self):
         assert factorize(12).factors == ((2, 2), (3, 1))
         assert factorize(361).factors == ((19, 2),)
+        assert list(factorize(360)) == [(2, 3), (3, 2), (5, 1)]
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):

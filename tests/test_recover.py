@@ -10,6 +10,7 @@ from erdos_straus import (
     CorrespondenceError,
     DomainError,
     InvalidSolutionError,
+    ResourceLimitError,
     SolutionType,
     Witness,
     build_solution,
@@ -181,6 +182,24 @@ class TestCorrespondence:
     def test_clean_below_300(self):
         for p in PRIMES_TO_300:
             assert check_correspondence(p, oracle_cap=300) == [], p
+
+
+class TestCorrespondenceInput:
+    def test_cap_checked_before_the_witness_walk(self, monkeypatch):
+        # 100,003 is the least prime past the default cap of 100,000; its
+        # witness walk over x = 25,001..50,002 must not start.
+        def walk(primes):
+            raise AssertionError("witness walk started before the cap check")
+
+        monkeypatch.setattr(recover_module, "_witnesses_x_major", walk)
+        with pytest.raises(ResourceLimitError, match="^n=100003 exceeds the cap 100000$"):
+            check_correspondences([100_003])
+
+    def test_primes_must_ascend_strictly(self):
+        with pytest.raises(DomainError):
+            check_correspondences([5, 3])
+        with pytest.raises(DomainError):
+            check_correspondences([5, 5])
 
 
 def _patch_oracle(monkeypatch, edit, only=None):

@@ -465,6 +465,13 @@ class TestScanDomain:
             ScanStream(2, 10, mode="everything")
 
 
+class TestUsableCpus:
+    def test_one_without_affinity_or_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(scan_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
+        assert scan_module._usable_cpus() == 1
+
+
 class TestRules:
     def test_k0_rule_clean_to_2000(self):
         assert check_k0_type1_rule(2000) == []

@@ -121,6 +121,20 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             enumerate_witnesses(10)
 
+    def test_x_major_walk_skips_x_serving_no_prime(self, monkeypatch):
+        # x in 2..3 serves 5 and x in 38..76 serves 151; x in 4..37 serves
+        # neither and is never factored.
+        merged = sorted(enumerate_witnesses(5) + enumerate_witnesses(151), key=lambda w: (w.x, w.p))
+        factored = []
+
+        def recording(x):
+            factored.append(x)
+            return divisors_of_square(x)
+
+        monkeypatch.setattr(witness_module, "divisors_of_square", recording)
+        assert list(witness_module._witnesses_x_major((5, 151))) == merged
+        assert factored == [2, 3, *range(38, 77)]
+
     def test_lazy_iteration_stops_early(self):
         it = iter_witnesses(97)
         first = next(it)
@@ -168,6 +182,11 @@ class TestFirstWitness:
                 assert (d, t) == (1, SolutionType.TYPE_I), p
             elif p % 24 != 1:
                 assert (d, t) == table[p % 24], p
+
+    def test_none_when_no_divisor_is_a_witness(self, monkeypatch):
+        # 73 % 24 == 1 goes past the fast path into the walk, which finds nothing.
+        monkeypatch.setattr(witness_module, "_ascending_square_divisors", lambda x: iter(()))
+        assert first_witness(73) is None
 
     def test_public_function_rejects_non_primes(self):
         # Only the scan's private core skips the primality check.
@@ -242,6 +261,11 @@ class TestBuildSolution:
         with pytest.raises(ConsistencyError) as exc:
             build_solution(w)
         assert str(exc.value) == f"identity fails for witness {w}"
+
+    def test_unknown_type_rejected(self):
+        # Witness does not validate its type; a bare string is no SolutionType.
+        with pytest.raises(ConsistencyError, match="^unknown solution type: 'II'$"):
+            build_solution(Witness(73, 20, 1, "II"))
 
     def test_witness_accessors(self):
         w = Witness(41, 14, 1, SolutionType.TYPE_II)
