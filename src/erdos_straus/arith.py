@@ -5,10 +5,12 @@ fixed Miller-Rabin base sets: (2, 7, 61), proven complete below
 4_759_123_141 (Jaeschke 1993), and the 13 primes up to 41, proven
 complete below 3_317_044_064_679_887_385_961_981, about 2**81.3
 (Sorenson and Webster 2015); no probabilistic answers are ever
-returned. primes_in_range sieves its window in one pass, so its
-memory follows the window. Factorization is trial division by the
-primes below 2**16, complete for n < 65537**2; past that bound it
-and everything built on it raise DomainError. Nothing is cached.
+returned. primes_in_range is the one sieve: it sieves its window in
+one pass, so its memory follows the window. The primes below 2**16
+are sieved by it once, at import, and then serve as its base primes
+and as factorize's trial divisors. Factorization by them is complete
+for n < 65537**2; past that bound it and everything built on it
+raise DomainError. Nothing is cached.
 """
 
 from __future__ import annotations
@@ -32,19 +34,35 @@ __all__ = [
 _SIEVE_LIMIT = 1 << 16
 
 
-def _sieve_upto(limit: int) -> list[int]:
-    """Primes <= limit by a plain sieve of Eratosthenes."""
-    if limit < 2:
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, ascending, from one sieve pass.
+
+    The only sieve. For 2**16 < hi < 65537**2 its base primes to
+    sqrt(hi) are the primes below 2**16, which it sieved at import;
+    otherwise, as when it builds that table, it lists them with itself.
+    Memory follows the window, one flag byte per number, besides the
+    primes returned and, past 65537**2, the base primes to sqrt(hi);
+    callers walking a wide range sieve a window at a time.
+    """
+    if lo > hi:
+        raise DomainError(f"empty range: lo={lo} > hi={hi}")
+    lo = max(lo, 2)
+    if lo > hi:
         return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return list(compress(range(limit + 1), flags))
+    root = isqrt(hi)
+    table = _SIEVE_LIMIT < hi and root <= _SIEVE_LIMIT
+    # from 1, not 2: root is 1 when hi < 4, and [1, 1] holds no prime
+    base = _SMALL_PRIMES if table else primes_in_range(1, root)
+    flags = bytearray([1]) * (hi - lo + 1)
+    for p in base:
+        if p > root:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), flags))
 
 
-_SMALL_PRIMES: tuple[int, ...] = tuple(_sieve_upto(_SIEVE_LIMIT))
+_SMALL_PRIMES: tuple[int, ...] = tuple(primes_in_range(2, _SIEVE_LIMIT))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 # Each base set is complete for n below its bound. Miller-Rabin runs only
@@ -91,29 +109,6 @@ def is_prime(n: int) -> bool:
     d >>= r
     bases = _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_EXACT_BASES
     return all(_mr_witness_passes(n, a, d, r) for a in bases)
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending, from one sieve pass.
-
-    Memory follows the window: one flag byte per number in it, besides
-    the primes returned and, past 65537**2, the base primes to sqrt(hi).
-    Callers that walk a wide range sieve it a bounded window at a time.
-    """
-    if lo > hi:
-        raise DomainError(f"empty range: lo={lo} > hi={hi}")
-    lo = max(lo, 2)
-    if lo > hi:
-        return []
-    root = isqrt(hi)
-    base = _SMALL_PRIMES if root <= _SIEVE_LIMIT else _sieve_upto(root)
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in base:
-        if p > root:
-            break
-        start = max(p * p, -(-lo // p) * p)
-        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    return list(compress(range(lo, hi + 1), flags))
 
 
 @dataclass(frozen=True, slots=True)

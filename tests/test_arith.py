@@ -79,7 +79,7 @@ class TestIsPrime:
 
     def test_agrees_with_the_sieve_across_the_base_set_switch(self):
         # (2, 7, 61) below 4,759,123,141, the 13 primes <= 41 from there on;
-        # primes_in_range sieves this window with base primes from _sieve_upto.
+        # past 65537**2, primes_in_range lists this window's base primes itself.
         lo, hi = 4_759_123_141 - 10**5, 4_759_123_141 + 10**5
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
@@ -151,12 +151,14 @@ class TestPrimesInRange:
             (1_000_003 - 2**18 + 1, 1_000_003 + 500),  # the prime 1,000,003 is number 2**18
             (1_000_003 - 2**18, 1_000_003 + 500),  # and here number 2**18 + 1
             (2**32 - 10**5, 2**32),  # the top of the scan range
-            (65_537**2 - 1000, 65_537**2 + 1000),  # base primes from _sieve_upto(65537)
+            (65_537**2 - 1000, 65_537**2 + 1000),  # base primes by recursion to 65537
         ],
     )
     def test_windows_across_segment_edges(self, lo, hi):
-        # Wide windows, and windows at 2**32 and past 65537**2, each against
-        # an is_prime filter: a prime the one pass loses, repeats or invents shows.
+        # The name is from the 2**18-number segments the sieve no longer cuts:
+        # wide windows with a prime at number 2**18 or past it, and windows at
+        # 2**32 and past 65537**2, each against an is_prime filter: a prime
+        # the one pass loses, repeats or invents shows.
         assert is_prime(1_000_003)
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
@@ -165,9 +167,31 @@ class TestPrimesInRange:
         assert primes_in_range(0, 1) == []
 
     def test_plain_sieve_below_two_is_empty(self):
-        # primes_in_range clamps lo to 2 and never asks _sieve_upto for less.
-        assert arith._sieve_upto(1) == []
-        assert arith._sieve_upto(2) == [2]
+        # The bottom of the recursion: base primes to sqrt(hi) = 1 are none.
+        assert primes_in_range(1, 1) == []
+        assert primes_in_range(1, 2) == [2]
+
+    def test_every_small_window_matches_naive_sieve(self):
+        # sqrt(hi) runs 1..17 here, so the base primes come by recursion
+        # down to its bottom, where hi < 4 needs none.
+        expected = naive_sieve(300)
+        for lo in range(301):
+            for hi in range(lo, 301):
+                assert primes_in_range(lo, hi) == [p for p in expected if lo <= p <= hi], (lo, hi)
+
+    def test_small_prime_table_is_the_primes_below_2_16(self):
+        # Built at import by primes_in_range; the base primes of every window
+        # with 2**16 < hi < 65537**2, and factorize's trial divisors.
+        expected = naive_sieve(2**16)
+        assert arith._SMALL_PRIMES == tuple(expected)
+        assert arith._SMALL_PRIME_SET == frozenset(expected)
+        assert len(expected) == 6542 and expected[-1] == 65_521
+
+    def test_window_where_the_base_switches_to_the_table(self):
+        # hi <= 2**16 lists its base primes by recursion, hi > 2**16 takes the table.
+        expected = naive_sieve(2**16 + 100)
+        for lo, hi in [(2**16 - 100, 2**16 + 100), (2**16 - 100, 2**16), (2**16 - 100, 2**16 + 1)]:
+            assert primes_in_range(lo, hi) == [p for p in expected if lo <= p <= hi]
 
 
 class TestFactorize:
