@@ -15,6 +15,7 @@ import os
 import sys
 from typing import Any, Iterable, Optional, Sequence
 
+from .arith import primes_in_range
 from .errors import CorrespondenceError, DomainError
 from .oracle import DEFAULT_CAP, solve_bruteforce
 from .recover import check_correspondences
@@ -174,11 +175,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    # Imported at call time: perfbench/tracing.py wraps arith.primes_in_range,
-    # and a module-level import would bind the unwrapped function, so the
-    # arith.primes_in_range_s span would read 0 on compare.
-    from .arith import primes_in_range
-
     _check_cap(args.hi)
     primes = primes_in_range(args.lo, args.hi)
     problems = check_correspondences(primes, oracle_cap=args.hi)

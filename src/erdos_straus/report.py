@@ -76,9 +76,10 @@ def points_csv(points: list[tuple[int, int]]) -> str:
     return "p,x\n" + "".join(f"{p},{x}\n" for p, x in points)
 
 
-def _ticks(lo: int, hi: int, want: int = 8) -> list[int]:
+def _ticks(lo: int, hi: int) -> list[int]:
+    """About eight evenly spaced axis ticks in [lo, hi]."""
     span = max(hi - lo, 1)
-    step = max(1, round(span / want))
+    step = max(1, round(span / 8))
     first = ((lo + step - 1) // step) * step
     ticks = list(range(first, hi + 1, step))
     return ticks or [lo]

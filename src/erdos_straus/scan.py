@@ -186,15 +186,13 @@ def _check_scan(lo: int, hi: int, mode: str) -> None:
 # chunk holds (about 8,000 primes per chunk near 10**7).
 _SPAN = 1 << 17
 
-# Chunks per pool process. The cost of a prime grows with p, steeply in
-# exhaustive mode, so equal-width chunks are not equal work; many small
-# ones let the pool even out the load. Exhaustive chunks factor the x
-# they share again (87,393 x at 16, 27,458 at 4, 9,999 in one pass for
-# `scan 2 20000 --exhaustive --threads 2`), yet on 2 CPUs 4 against 16
-# left that scan level: 8.8 s against 8.9 s wall, 15.8 s against 15.9 s
-# CPU (medians of alternating pairs), and `scan 2 499999 --threads 2`
-# 0.41 s against 0.45 s.
-_CHUNKS_PER_PROCESS = 16
+# Chunks per pool process. The cost of a prime grows with p, so several
+# chunks per process let the pool even out the load; exhaustive chunks
+# factor the x they share again, so more chunks cost more. On 2 CPUs, 4
+# against 16 ran `scan 2 499999 --threads 2` in 0.44 s against 0.50 s
+# and `scan 2 20000 --exhaustive --threads 2` in 9.9 s against 10.2 s
+# (medians of alternating pairs).
+_CHUNKS_PER_PROCESS = 4
 
 
 def _chunk_bounds(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -266,10 +264,6 @@ def _finish_tally(tally: _Tally, modulus: int, mode: str) -> dict[int, dict[str,
             "hard": modulus == 840 and residue in HARD_RESIDUES_840,
         }
     return summary
-
-
-def _summarize(records: Iterable[ScanRecord], modulus: int, mode: str) -> dict[int, dict]:
-    return _finish_tally(_tally(records, modulus), modulus, mode)
 
 
 def _first_only_text(lo: int, hi: int) -> tuple[str, _Tally, list[int]]:
@@ -355,7 +349,7 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
         mode=mode,
         records=tuple(records),
         counterexamples=tuple(r.p for r in records if r.first is None),
-        residue_summary=_summarize(records, 24, mode),
+        residue_summary=_finish_tally(_tally(records, 24), 24, mode),
         elapsed=time.perf_counter() - start,
         prime_count=len(records),
     )
@@ -477,4 +471,4 @@ def residue_stats(report: ScanReport, modulus: int) -> dict[int, dict[str, Any]]
         raise DomainError("residue_stats needs an exhaustive-mode report")
     if len(report.records) != report.prime_count:
         raise DomainError("residue_stats needs a report that kept its records")
-    return _summarize(report.records, modulus, report.mode)
+    return _finish_tally(_tally(report.records, modulus), modulus, report.mode)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import erdos_straus.arith as arith_module
 import erdos_straus.cli as cli
 import erdos_straus.scan as scan_module
 from erdos_straus import CorrespondenceError, SolutionType, k_table, k_table_csv, k_table_json
@@ -276,7 +275,7 @@ class TestCompare:
         def no_sieve(lo, hi):
             raise AssertionError(f"sieved [{lo}, {hi}]")
 
-        monkeypatch.setattr(arith_module, "primes_in_range", no_sieve)
+        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
         assert main(["compare", "2", "100000000000"]) == 2
         err = capsys.readouterr().err
         assert "error: hi=100000000000 exceeds the supported cap 4294967296" in err

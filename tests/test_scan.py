@@ -246,7 +246,8 @@ class TestTally:
     @pytest.mark.parametrize("modulus", [24, 840])
     def test_every_cut_of_exhaustive_records(self, exhaustive, modulus):
         expected = reference_summary(exhaustive, modulus)
-        assert scan_module._summarize(exhaustive, modulus, "exhaustive") == expected
+        whole = scan_module._tally(exhaustive, modulus)
+        assert scan_module._finish_tally(whole, modulus, "exhaustive") == expected
         for cut in range(len(exhaustive) + 1):
             assert self.merged_at(exhaustive, cut, modulus, "exhaustive") == expected, cut
 
@@ -254,7 +255,8 @@ class TestTally:
         # A first-only scan has no witness statistics.
         records = scan_primes(2, 1500).records
         expected = reference_summary(records, 24)
-        assert scan_module._summarize(records, 24, "first-only") == expected
+        whole = scan_module._tally(records, 24)
+        assert scan_module._finish_tally(whole, 24, "first-only") == expected
         for cut in range(0, len(records) + 1, 7):
             assert self.merged_at(records, cut, 24, "first-only") == expected, cut
 
