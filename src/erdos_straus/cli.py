@@ -16,7 +16,7 @@ import sys
 from typing import Any, Iterable, Optional, Sequence
 
 from .arith import primes_in_range
-from .errors import CorrespondenceError, DomainError
+from .errors import CorrespondenceError, DomainError, ResourceLimitError
 from .oracle import DEFAULT_CAP, solve_bruteforce
 from .recover import check_correspondences
 from .report import (
@@ -29,7 +29,6 @@ from .report import (
 )
 from .scan import (
     ScanStream,
-    _check_cap,
     _check_rule_hi,
     check_divisor_k_rule,
     check_k0_type1_rule,
@@ -175,9 +174,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    _check_cap(args.hi)
+    if args.hi > DEFAULT_CAP:
+        raise ResourceLimitError(f"hi={args.hi} exceeds the oracle cap {DEFAULT_CAP}")
     primes = primes_in_range(args.lo, args.hi)
-    problems = check_correspondences(primes, oracle_cap=args.hi)
+    problems = check_correspondences(primes)
     if args.json:
         print(
             _compact(
@@ -270,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_figure.set_defaults(func=cmd_figure)
 
     p_compare = sub.add_parser(
-        "compare", help="witness vs brute-force bijection and round-trips"
+        "compare", help=f"witness vs brute-force bijection and round-trips, HI <= {DEFAULT_CAP}"
     )
     p_compare.add_argument("lo", type=int)
-    p_compare.add_argument("hi", type=int)
+    p_compare.add_argument("hi", type=int, help=f"at most {DEFAULT_CAP}, the oracle's cap")
     p_compare.add_argument("--json", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
 

@@ -12,12 +12,13 @@ Every property the characterization promises about d is re-derived
 rather than assumed, each tested once; a failure raises
 CorrespondenceError because it would be a counterexample, not a usage
 problem. check_correspondence(s) drive the full two-way comparison
-against the brute-force oracle. They build each witness once, which
-certifies its solution, and re-derive the witness from that solution
-(the forward round trip). An oracle solution equal to one that
-round-tripped forward round-trips backward by the same derivation and
-build. Each other oracle solution has its witness derived from (x, y)
-by _derive_witness and built once, which must give back its z.
+against the brute-force oracle, under the oracle's default cap of
+100,000 on p. They build each witness once, which certifies its
+solution, and re-derive the witness from that solution (the forward
+round trip). An oracle solution equal to one that round-tripped
+forward round-trips backward by the same derivation and build. Each
+other oracle solution has its witness derived from (x, y) by
+_derive_witness and built once, which must give back its z.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import CorrespondenceError, DomainError, InvalidSolutionError
-from .oracle import DEFAULT_CAP, _solutions_x_major
+from .oracle import _solutions_x_major
 from .witness import (
     SolutionType,
     Witness,
@@ -125,7 +126,7 @@ def _listing(side: Counter) -> str:
     return "[" + ", ".join(f"{t.value} {s}" for t, s in sorted(side.elements())) + "]"
 
 
-def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
+def check_correspondence(p: int) -> list[str]:
     """Two-way comparison of witness search against the brute-force oracle.
 
     Returns a list of violation descriptions (empty means the
@@ -139,26 +140,24 @@ def check_correspondence(p: int, oracle_cap: int = DEFAULT_CAP) -> list[str]:
       - backward round-trip: oracle solution -> witness -> rebuilt
         solution is the identity.
 
-    Each witness is built once. An oracle solution that a witness built
-    and recovered round-trips backward by the forward trip itself; each
-    other oracle solution has its witness derived by _derive_witness
-    and is built once.
+    The oracle's default cap applies: ResourceLimitError for p > 100,000.
     """
-    return check_correspondences((p,), oracle_cap)
+    return check_correspondences((p,))
 
 
-def check_correspondences(primes: Sequence[int], oracle_cap: int = DEFAULT_CAP) -> list[str]:
+def check_correspondences(primes: Sequence[int]) -> list[str]:
     """check_correspondence for each of strictly ascending primes, in order.
 
     The witnesses of all the primes come from one x-major walk, grouped
     by prime, so each x is factored once for every prime it serves. The
     oracle's solutions come prime by prime from its own x-major walk,
     and each prime's witnesses are dropped once the prime is checked.
-    The oracle checks order and cap before either walk starts.
+    The oracle's default cap applies. The oracle checks order, and the
+    cap on the largest prime, before either walk starts.
     """
     for p in primes:
         _require_prime(p)
-    oracle = _solutions_x_major(primes, oracle_cap)
+    oracle = _solutions_x_major(primes)
     found: dict[int, list[Witness]] = {p: [] for p in primes}
     for w in _witnesses_x_major(primes):
         found[w.p].append(w)

@@ -136,7 +136,7 @@ def test_acceptance_witness_oracle_one_to_one_below_2000():
     start = time.perf_counter()
     problems = []
     for p in primes_in_range(2, 1999):
-        problems.extend(check_correspondence(p, oracle_cap=2000))
+        problems.extend(check_correspondence(p))
     elapsed = time.perf_counter() - start
     ok = not problems and elapsed < 60.0
     verdict(

@@ -266,7 +266,7 @@ class TestCompare:
         monkeypatch.setattr(
             cli,
             "check_correspondences",
-            lambda primes, oracle_cap: [f"p={p}: fabricated" for p in primes],
+            lambda primes: [f"p={p}: fabricated" for p in primes],
         )
         assert main(["compare", "2", "10"]) == 5
         assert "VIOLATION" in capsys.readouterr().out
@@ -278,14 +278,29 @@ class TestCompare:
         monkeypatch.setattr(cli, "primes_in_range", no_sieve)
         assert main(["compare", "2", "100000000000"]) == 2
         err = capsys.readouterr().err
-        assert "error: hi=100000000000 exceeds the supported cap 4294967296" in err
+        assert "error: hi=100000000000 exceeds the oracle cap 100000" in err
+
+    def test_hi_above_oracle_cap_is_refused_before_sieving(self, monkeypatch, capsys):
+        # A sieve to 2**32 alone needs gigabytes, so the cap must come first.
+        def no_sieve(lo, hi):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+        for hi in ("100001", "4294967296"):
+            assert main(["compare", "2", hi]) == 2
+            assert f"error: hi={hi} exceeds the oracle cap 100000" in capsys.readouterr().err
+
+    def test_hi_at_oracle_cap_runs(self, capsys):
+        assert main(["compare", "99990", "100000", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["primes"] == 1 and data["violations"] == []
 
     def test_lo_below_two_is_clamped(self, capsys):
         assert main(["compare", "0", "100", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["primes"] == 25
 
     def test_correspondence_error_exits_5(self, monkeypatch, capsys):
-        def raising(primes, oracle_cap):
+        def raising(primes):
             raise CorrespondenceError("planted for p=7")
 
         monkeypatch.setattr(cli, "check_correspondences", raising)
@@ -295,7 +310,7 @@ class TestCompare:
         assert "correspondence violation: planted for p=7" in captured.err
 
     def test_no_cap_option(self, capsys):
-        # The oracle cap is hi, the largest compared prime, so no cap can be set.
+        # compare runs under the oracle's default cap, so no cap can be set.
         with pytest.raises(SystemExit) as exc:
             main(["compare", "2", "100", "--cap", "50"])
         assert exc.value.code == 2

@@ -181,7 +181,7 @@ class TestCorrespondence:
 
     def test_clean_below_300(self):
         for p in PRIMES_TO_300:
-            assert check_correspondence(p, oracle_cap=300) == [], p
+            assert check_correspondence(p) == [], p
 
 
 class TestCorrespondenceInput:
@@ -207,8 +207,8 @@ def _patch_oracle(monkeypatch, edit, only=None):
     every prime, or for the prime only alone."""
     true_oracle = recover_module._solutions_x_major
 
-    def edited(ns, cap):
-        for n, sols in true_oracle(ns, cap):
+    def edited(ns):
+        for n, sols in true_oracle(ns):
             yield n, edit(sols) if only in (None, n) else sols
 
     monkeypatch.setattr(recover_module, "_solutions_x_major", edited)
@@ -257,8 +257,8 @@ class TestCorrespondenceOverRange:
     def test_equals_per_prime_concatenation(self, monkeypatch, edit, violated):
         _patch_oracle(monkeypatch, edit)
         primes = primes_in_range(2, 300)
-        per_prime = [line for p in primes for line in check_correspondence(p, oracle_cap=300)]
-        assert check_correspondences(primes, oracle_cap=300) == per_prime
+        per_prime = [line for p in primes for line in check_correspondence(p)]
+        assert check_correspondences(primes) == per_prime
         assert bool(per_prime) == violated
 
     @pytest.mark.parametrize(
@@ -320,13 +320,13 @@ def _reference_problems(p, witnesses, solutions):
     return problems
 
 
-def _reference_check(primes, cap):
+def _reference_check(primes):
     found = {p: [] for p in primes}
     for w in recover_module._witnesses_x_major(primes):
         found[w.p].append(w)
     return [
         line
-        for p, solutions in recover_module._solutions_x_major(primes, cap)
+        for p, solutions in recover_module._solutions_x_major(primes)
         for line in _reference_problems(p, found.pop(p), solutions)
     ]
 
@@ -371,8 +371,8 @@ class TestCertifiedOnce:
             _patch_oracle(monkeypatch, oracle_edit)
         if witness_edit:
             _patch_witnesses(monkeypatch, witness_edit)
-        expected = _reference_check(PRIMES_TO_300, 300)
-        assert check_correspondences(PRIMES_TO_300, oracle_cap=300) == expected
+        expected = _reference_check(PRIMES_TO_300)
+        assert check_correspondences(PRIMES_TO_300) == expected
         assert bool(expected) == bool(oracle_edit or witness_edit)
 
     @pytest.fixture
@@ -395,7 +395,7 @@ class TestCertifiedOnce:
         return calls
 
     def test_one_build_per_witness_and_no_recovery(self, calls):
-        assert check_correspondences(PRIMES_TO_300, oracle_cap=300) == []
+        assert check_correspondences(PRIMES_TO_300) == []
         assert calls == {"build_solution": 1563}
         assert sum(len(enumerate_witnesses(p)) for p in PRIMES_TO_300) == 1563
 
@@ -403,7 +403,7 @@ class TestCertifiedOnce:
         # Each prime's first triple gets a wrong z, so none of the 62 is
         # matched by a witness; each is derived and built once, not recovered.
         _patch_oracle(monkeypatch, lambda ts: [(x, y, z + 1) for x, y, z in ts[:1]] + ts[1:])
-        problems = check_correspondences(PRIMES_TO_300, oracle_cap=300)
+        problems = check_correspondences(PRIMES_TO_300)
         assert calls == {"build_solution": 1563 + 62}
-        assert problems == _reference_check(PRIMES_TO_300, 300)
+        assert problems == _reference_check(PRIMES_TO_300)
         assert len(PRIMES_TO_300) == 62 and len(problems) == 124
