@@ -130,7 +130,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _write_text(args.out, stream)
         report = stream.report
         summary = summary_line(report, args.threads)
-        _write_text(args.out + ".summary.json", (summary + "\n",))
+        if os.path.isfile(args.out):
+            _write_text(args.out + ".summary.json", (summary + "\n",))
+        else:  # /dev/null, a pipe: no sibling file to write beside it
+            print(summary, file=sys.stderr)
         print(
             f"scanned {report.prime_count} primes in [{report.lo}, {report.hi}] "
             f"({mode}), {len(report.counterexamples)} counterexample(s), "

@@ -9,9 +9,10 @@ once for all of them (exhaustive, witness._witnesses_x_major). A
 first-only task formats each line straight from the search's
 (x, d, type) tuple; scan_primes builds ScanRecord objects instead.
 ScanStream, the CLI's scan, runs one task per chunk of [lo, hi], in
-process or on a pool, and merges chunk results in order, so output is
-identical for any worker count. scan_primes runs [lo, hi] as one task
-in process: the unchunked reference the stream must equal.
+process or on a pool, and yields the text in order (first-only text in
+process in pieces of _PIECE_LINES lines), so output is identical for
+any worker count. scan_primes runs [lo, hi] as one task in process:
+the unchunked reference the stream must equal.
 
 Also checks two structural rules for the k = 0 and divisor-k offsets,
 each against a closed-form type I witness before any divisor walk,
@@ -27,7 +28,6 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Any, Iterable, Iterator, Optional
 
 from .arith import divisors, divisors_of_square, primes_in_range
@@ -181,10 +181,11 @@ def _check_scan(lo: int, hi: int, mode: str) -> None:
     _check_cap(hi)
 
 
-# Widest chunk of numbers one scan task covers. A task's record lines
-# are formatted and handed back whole, so this bounds the memory a
-# chunk holds (about 8,000 primes per chunk near 10**7).
+# Widest chunk of numbers one scan task covers. It bounds the sieve
+# window and the text a pool chunk hands back whole (about 8,000 lines
+# near 10**7); in process, first-only text goes out in pieces.
 _SPAN = 1 << 17
+_PIECE_LINES = 1024
 
 # Chunks per pool process. The cost of a prime grows with p, so several
 # chunks per process let the pool even out the load; exhaustive chunks
@@ -266,60 +267,69 @@ def _finish_tally(tally: _Tally, modulus: int, mode: str) -> dict[int, dict[str,
     return summary
 
 
-def _first_only_text(lo: int, hi: int) -> tuple[str, _Tally, list[int]]:
-    """_chunk_text in first-only mode: one pass over the sieved primes,
-    no record objects.
-
-    Each line is formatted straight from the search's (x, d, type), in
-    the bytes record_line gives for the scan_primes record.
-    """
-    lines = []
-    tally: _Tally = {}
-    missing = []
-    for p in primes_in_range(lo, hi):
-        hit = _first_witness_unchecked(p)
-        residue = p % 24
-        entry = tally.get(residue)
-        if entry is None:  # setdefault would build a spare list per prime
-            entry = tally[residue] = [0, 0, 0, math.inf, 0]
-        entry[0] += 1
-        if hit is None:
-            first = "null"
-            missing.append(p)
-        else:
-            first = _first_json(p, *hit)
-            entry[1] += 1
-        lines.append(_record_json(first, p, residue, p % 840, "null", "null", "null"))
-    lines.append("")  # so the join ends the last line, if any, with a newline
-    return "\n".join(lines), tally, missing
+def _chunk_pieces(task: tuple[int, int, str], tally: _Tally, missing: list[int]) -> Iterator[str]:
+    """A chunk's record text, piece by piece, from one sieve; each prime
+    is counted into tally (mod 24), and one with no witness into missing.
+    First-only: a piece per _PIECE_LINES lines, formatted straight from
+    the search's (x, d, type) in the bytes record_line gives for the
+    scan_primes record. Exhaustive: the chunk's text as one piece."""
+    lo, hi, mode = task
+    primes = primes_in_range(lo, hi)
+    if mode == "exhaustive":
+        records = _exhaustive_records(primes)
+        _merge_tally(tally, _tally(records, 24))
+        missing.extend(r.p for r in records if r.first is None)
+        yield "".join([record_line(r) + "\n" for r in records])
+        return
+    for i in range(0, len(primes), _PIECE_LINES):
+        lines = []
+        for p in primes[i : i + _PIECE_LINES]:
+            hit = _first_witness_unchecked(p)
+            residue = p % 24
+            entry = tally.get(residue)
+            if entry is None:  # setdefault would build a spare list per prime
+                entry = tally[residue] = [0, 0, 0, math.inf, 0]
+            entry[0] += 1
+            if hit is None:
+                first = "null"
+                missing.append(p)
+            else:
+                first = _first_json(p, *hit)
+                entry[1] += 1
+            lines.append(_record_json(first, p, residue, p % 840, "null", "null", "null"))
+        yield "\n".join(lines) + "\n"
 
 
 def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
-    """Worker task: a chunk's record lines, its tally mod 24 and its counterexamples."""
-    lo, hi, mode = task
-    if mode == "first-only":
-        return _first_only_text(lo, hi)
-    records = _exhaustive_records(primes_in_range(lo, hi))
-    text = "".join([record_line(r) + "\n" for r in records])
-    return text, _tally(records, 24), [r.p for r in records if r.first is None]
+    """Pool task: a chunk's record text whole, its tally mod 24 and its counterexamples."""
+    tally: _Tally = {}
+    missing: list[int] = []
+    return "".join(_chunk_pieces(task, tally, missing)), tally, missing
 
 
-def _run_chunks(lo: int, hi: int, mode: str, workers: int) -> Iterator[tuple[str, _Tally, list]]:
-    """_chunk_text of each chunk of [lo, hi], results in chunk order.
+def _run_chunks(
+    lo: int, hi: int, mode: str, workers: int, tally: _Tally, missing: list[int]
+) -> Iterator[str]:
+    """The record text of [lo, hi]'s chunks, in order, counted into tally and missing.
 
     The pool would have one process per worker, capped at the usable
     CPUs. When that is one process, or the range makes one chunk, the
-    chunks run in process. Otherwise each pool result is yielded as
-    soon as it and every chunk before it are done.
+    chunks run in process, piece by piece. Otherwise each chunk's text
+    is yielded as soon as it and every chunk before it are done.
     """
     processes = min(workers, _usable_cpus())
     parts = 1 if processes == 1 else _CHUNKS_PER_PROCESS * processes
     chunks = [(a, b, mode) for a, b in _chunk_bounds(lo, hi, parts)]
     if processes == 1 or len(chunks) == 1:
-        yield from map(_chunk_text, chunks)
+        for chunk in chunks:
+            yield from _chunk_pieces(chunk, tally, missing)
         return
+    from multiprocessing import Pool  # only a pool needs it; the import costs 0.9 MB
     with Pool(processes=processes) as pool:
-        yield from pool.imap(_chunk_text, chunks)
+        for text, part, found in pool.imap(_chunk_text, chunks):
+            yield text
+            _merge_tally(tally, part)
+            missing.extend(found)
 
 
 def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
@@ -356,16 +366,16 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
 
 
 class ScanStream:
-    """One scan's record lines as finished text, chunk by chunk, in order.
+    """One scan's record lines as finished text, piece by piece, in order.
 
     Iterating cuts [lo, hi] into chunks and runs them in process or on
     a pool of up to `workers` processes (see _run_chunks). Each task
     formats its own record lines and tallies them, so only text, a
-    tally and counterexamples leave the process that ran it, and a
-    chunk's text is kept only until it has been yielded. Once iteration
-    ends, `report` is the scan's ScanReport: records=(), and the
-    prime count, counterexamples and residue summary merged from the
-    chunk tallies, equal to scan_primes' for the same range.
+    tally and counterexamples leave the process that ran it. A first-only
+    chunk's text is held whole only on a pool (see _chunk_pieces). Once
+    iteration ends, `report` is the scan's ScanReport: records=(), and
+    the prime count, counterexamples and residue summary merged from
+    the chunk tallies, equal to scan_primes' for the same range.
     """
 
     def __init__(self, lo: int, hi: int, mode: str = "first-only", workers: int = 1) -> None:
@@ -379,10 +389,7 @@ class ScanStream:
         start = time.perf_counter()
         tally: _Tally = {}
         counterexamples: list[int] = []
-        for text, part, missing in _run_chunks(self.lo, self.hi, self.mode, self.workers):
-            yield text
-            _merge_tally(tally, part)
-            counterexamples.extend(missing)
+        yield from _run_chunks(self.lo, self.hi, self.mode, self.workers, tally, counterexamples)
         self.report = ScanReport(
             lo=self.lo,
             hi=self.hi,

@@ -7,13 +7,22 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import erdos_straus.cli as cli
 import erdos_straus.scan as scan_module
-from erdos_straus import CorrespondenceError, SolutionType, k_table, k_table_csv, k_table_json
+from erdos_straus import (
+    CorrespondenceError,
+    SolutionType,
+    k_table,
+    k_table_csv,
+    k_table_json,
+    record_line,
+    scan_primes,
+)
 from erdos_straus.cli import main
 
 
@@ -173,6 +182,22 @@ class TestScan:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [f.name for f in tmp_path.iterdir()] == ["records"]
+
+    def test_scan_to_pipe_puts_summary_on_stderr(self, tmp_path, capsys):
+        # No sibling <out>.summary.json can sit beside a pipe (or /dev/null),
+        # so the summary goes to stderr, as with no --out.
+        fifo = tmp_path / "records"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["scan", "2", "3000", "--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        expected = "".join(record_line(r) + "\n" for r in scan_primes(2, 3000).records)
+        assert received == [expected.encode()]
+        assert [f.name for f in tmp_path.iterdir()] == ["records"]
+        summary = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert summary["prime_count"] == 430 and summary["counterexamples"] == []
 
     def test_symlink_target_replaced(self, tmp_path):
         target = tmp_path / "target.csv"

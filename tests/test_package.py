@@ -1,6 +1,8 @@
 """The package's public surface: each module's __all__, re-exported once."""
 
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import erdos_straus
@@ -41,3 +43,11 @@ def test_no_module_names_the_benchmark_harness():
     src = Path(erdos_straus.__file__).parent
     for path in sorted(src.glob("*.py")):
         assert "perfbench" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a scan pool needs multiprocessing, and importing it costs every CLI start.
+    code = "import sys, erdos_straus.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,6 +1,7 @@
 """Range scanning, structural rules, residue statistics, determinism."""
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,21 @@ def assert_stream_matches(report, stream):
     assert streamed.residue_summary == report.residue_summary
 
 
+def assert_pieces_match(report, monkeypatch):
+    """With _PIECE_LINES at 7, the in-process stream of report's range
+    yields only pieces of at most 7 whole lines, and equals report."""
+    monkeypatch.setattr(scan_module, "_PIECE_LINES", 7)
+    stream = ScanStream(report.lo, report.hi)
+    pieces = list(stream)
+    assert pieces and all(p.endswith("\n") and p.count("\n") <= 7 for p in pieces)
+    assert "".join(pieces) == "".join(record_line(r) + "\n" for r in report.records)
+    assert stream.report.counterexamples == report.counterexamples
+    summaries = [json.loads(summary_line(r, 1)) for r in (stream.report, report)]
+    for summary in summaries:
+        del summary["elapsed_seconds"]
+    assert summaries[0] == summaries[1]
+
+
 class TestScanStream:
     @pytest.mark.parametrize("mode", ["first-only", "exhaustive"])
     def test_text_and_report_match_scan_primes(self, mode):
@@ -195,6 +211,11 @@ class TestScanStream:
         "".join(stream)
         with pytest.raises(DomainError):
             residue_stats(stream.report, 24)
+
+    @pytest.mark.parametrize("span", [1 << 17, 97])
+    def test_first_only_text_goes_out_in_pieces(self, monkeypatch, span):
+        monkeypatch.setattr(scan_module, "_SPAN", span)
+        assert_pieces_match(scan_primes(2, 3000), monkeypatch)
 
     def test_chunks_cover_range_in_order(self, monkeypatch):
         monkeypatch.setattr(scan_module, "_SPAN", 7)
@@ -282,7 +303,8 @@ def pool_sizes(monkeypatch):
         def imap(self, fn, tasks):
             return (fn(t) for t in tasks)
 
-    monkeypatch.setattr(scan_module, "Pool", SerialPool)
+    # _run_chunks imports Pool from multiprocessing when a pool starts
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return sizes
 
 
@@ -360,6 +382,9 @@ class TestCounterexamplesInsideChunks:
     def test_pool_of_3(self, reference, pool_sizes):
         assert_stream_matches(reference, ScanStream(2, 3000, workers=3))
         assert pool_sizes == [3]
+
+    def test_pieces_of_7_lines(self, reference, monkeypatch):
+        assert_pieces_match(reference, monkeypatch)
 
     def test_3_workers_on_one_usable_cpu_run_in_process(self, reference, pool_sizes, monkeypatch):
         monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 1)
