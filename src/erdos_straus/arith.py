@@ -6,17 +6,18 @@ fixed Miller-Rabin base sets: (2, 7, 61), proven complete below
 complete below 3_317_044_064_679_887_385_961_981, about 2**81.3
 (Sorenson and Webster 2015); no probabilistic answers are ever
 returned. primes_in_range is the one sieve: it sieves its window in
-one pass, so its memory follows the window. The primes below 2**16
-are sieved by it once, at import, and then serve as its base primes
-and as factorize's trial divisors. Factorization by them is complete
-for n < 65537**2; past that bound it and everything built on it
-raise DomainError. Nothing is cached.
+one pass, one flag byte per odd number, so its memory follows the
+window. The primes below 2**16 are sieved by it once, at import, and
+then serve as its base primes, as factorize's trial divisors and, as
+one flag byte per number, as is_prime's answer up to 2**16.
+Factorization by them is complete for n < 65537**2; past that bound
+it and everything built on it raise DomainError. Nothing is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 from typing import Iterator
 
@@ -40,9 +41,9 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     The only sieve. For 2**16 < hi < 65537**2 its base primes to
     sqrt(hi) are the primes below 2**16, which it sieved at import;
     otherwise, as when it builds that table, it lists them with itself.
-    Memory follows the window, one flag byte per number, besides the
-    primes returned and, past 65537**2, the base primes to sqrt(hi);
-    callers walking a wide range sieve a window at a time.
+    Memory follows the window, one flag byte per odd number, besides
+    the primes returned and, past 65537**2, the base primes to
+    sqrt(hi); callers walking a wide range sieve a window at a time.
     """
     if lo > hi:
         raise DomainError(f"empty range: lo={lo} > hi={hi}")
@@ -53,17 +54,25 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     table = _SIEVE_LIMIT < hi and root <= _SIEVE_LIMIT
     # from 1, not 2: root is 1 when hi < 4, and [1, 1] holds no prime
     base = _SMALL_PRIMES if table else primes_in_range(1, root)
-    flags = bytearray([1]) * (hi - lo + 1)
-    for p in base:
+    first = lo | 1  # flags[i] stands for the odd number first + 2*i
+    flags = bytearray([1]) * ((hi - first) // 2 + 1)
+    for p in islice(base, 1, None):  # 2 divides no flagged number
         if p > root:
             break
         start = max(p * p, -(-lo // p) * p)
-        flags[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-    return list(compress(range(lo, hi + 1), flags))
+        if start % 2 == 0:  # the least odd multiple
+            start += p
+        flags[(start - first) // 2 :: p] = bytearray(len(range(start, hi + 1, 2 * p)))
+    odd = compress(range(first, hi + 1, 2), flags)
+    return [2, *odd] if lo == 2 else list(odd)
 
 
 _SMALL_PRIMES: tuple[int, ...] = tuple(primes_in_range(2, _SIEVE_LIMIT))
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# is_prime's answer for n <= 2**16, one byte per number
+_SMALL_PRIME_FLAGS = bytearray(_SIEVE_LIMIT + 1)
+for _p in _SMALL_PRIMES:
+    _SMALL_PRIME_FLAGS[_p] = 1
+del _p
 
 # Each base set is complete for n below its bound. Miller-Rabin runs only
 # for n > 2**16, above every base, so no base is a multiple of n.
@@ -96,7 +105,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n <= _SIEVE_LIMIT:
-        return n in _SMALL_PRIME_SET
+        return _SMALL_PRIME_FLAGS[n] == 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return False

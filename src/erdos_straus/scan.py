@@ -15,10 +15,10 @@ any worker count. scan_primes runs [lo, hi] as one task in process:
 the unchunked reference the stream must equal.
 
 Also checks two structural rules for the k = 0 and divisor-k offsets,
-each against a closed-form type I witness before any divisor walk,
-and computes residue-class statistics including the six classes
-mod 840 = {1, 121, 169, 289, 361, 529} that the known polynomial
-identities do not cover.
+each visit against a closed-form type I witness, tested in one pass
+per sieve chunk, before any divisor walk, and computes residue-class
+statistics including the six classes mod 840 = {1, 121, 169, 289,
+361, 529} that the known polynomial identities do not cover.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Any, Iterable, Iterator, Optional
 
-from .arith import divisors, divisors_of_square, primes_in_range
+from .arith import divisors_of_square, primes_in_range
 from .errors import DomainError
 from .witness import (
     SolutionType,
     Witness,
     _first_witness_unchecked,
     _witnesses_x_major,
-    _x_bounds,
 )
 
 __all__ = [
@@ -420,29 +420,82 @@ def _check_rule_hi(hi: int) -> None:
     _check_cap(hi)
 
 
-def _rule_primes(hi: int) -> Iterator[int]:
-    """The primes 3 <= p <= hi, sieved at most _SPAN numbers at a time,
-    so a rule holds one chunk's primes; hi is checked first."""
-    _check_rule_hi(hi)
-    return (p for a, b in _chunk_bounds(3, hi, 1) for p in primes_in_range(a, b))
+def _k0_misses(primes: list[int]) -> list[tuple[int, int, int]]:
+    """The visits (p, x, d) of the primes p % 24 != 1 whose closed-form
+    type I witness fails at x = ceil(p/4): d does not divide x*x, or
+    p*x + d is not 0 mod q = 4x - p. One pass over a chunk's primes.
+
+    d follows the proof at witness._first_witness_unchecked: 1 for
+    p % 4 == 3 (q = 1); otherwise q = 3 and any d = 2 (mod 3) works: 2
+    for even x, and x for odd x (p % 24 == 17, where x = 2 (mod 3)).
+    """
+    # x and d are at least 1, so binding them never ends the test
+    return [
+        (p, x, d)
+        for p in primes
+        if p % 24 != 1
+        and (x := (p + 3) // 4)
+        and (d := 1 if p % 4 == 3 else 2 if x % 2 == 0 else x)
+        and (x * x % d or (p * x + d) % (4 * x - p))
+    ]
 
 
 def check_k0_type1_rule(hi: int) -> list[int]:
     """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
     the smallest x. Expected empty.
 
-    d follows the proof at witness._first_witness_unchecked: 1 for
-    p % 4 == 3 (q = 1); otherwise q = 3 and any d = 2 (mod 3) works: 2
-    for even x, and x for odd x (p % 24 == 17, where x = 2 (mod 3)).
+    The primes are sieved at most _SPAN numbers at a time, and only a
+    visit whose closed form fails (_k0_misses) walks the divisors of x*x.
     """
-    violations = []
-    for p in _rule_primes(hi):
-        if p % 24 == 1:
-            continue
-        x = _x_bounds(p)[0]
-        if not _has_type1_witness_at(p, x, 1 if p % 4 == 3 else 2 if x % 2 == 0 else x):
-            violations.append(p)
-    return violations
+    _check_rule_hi(hi)
+    return [
+        p
+        for a, b in _chunk_bounds(3, hi, 1)
+        for p, x, d in _k0_misses(primes_in_range(a, b))
+        if not _has_type1_witness_at(p, x, d)
+    ]
+
+
+def _divisor_k_groups(lo: int, hi: int) -> Iterator[Iterator[tuple[int, int]]]:
+    """The pairs (m, k) with k | m of the primes p = 4m - 1 in [lo, hi],
+    lazily, in groups that share k or the cofactor j = m/k.
+
+    One sieve of [lo, hi] marks its m in a flag table, so the m that k
+    divides are a strided slice of it. With s = isqrt of the top m, k or
+    j is at most s: a pair is listed by k when k <= s and by j otherwise,
+    so each pair comes once. Only the table and one slice are held.
+    """
+    m_lo, m_hi = (lo + 4) // 4, (hi + 1) // 4
+    flags = bytearray(m_hi - m_lo + 1)
+    for p in primes_in_range(lo, hi):
+        if p % 4 == 3:
+            flags[(p + 1) // 4 - m_lo] = 1
+    s = math.isqrt(m_hi)
+    for k in range(1, s + 1):
+        first = -(-m_lo // k) * k
+        yield zip(compress(range(first, m_hi + 1, k), flags[first - m_lo :: k]), repeat(k))
+    for j in range(1, s + 1):
+        first = -(-max(m_lo, (s + 1) * j) // j) * j  # k = m/j > s
+        chosen = flags[first - m_lo :: j]
+        ms = compress(range(first, m_hi + 1, j), chosen)
+        yield zip(ms, compress(range(first // j, m_hi // j + 1), chosen))
+
+
+def _divisor_k_misses(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """The visits (p, k, x, d) of the primes p = 4m - 1 in [lo, hi] and
+    each k | m whose closed-form type I witness d = x*x/k fails at
+    x = m + k: d does not divide x*x, or p*x + d is not 0 mod q = 4x - p.
+    Sorted by (p, k)."""
+    # p, x and d are at least 1, so binding them never ends the test
+    return sorted(
+        (p, k, x, d)
+        for group in _divisor_k_groups(lo, hi)
+        for m, k in group
+        if (p := 4 * m - 1)
+        and (x := m + k)
+        and (d := x * x // k)
+        and (x * x % d or (p * x + d) % (4 * x - p))
+    )
 
 
 def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
@@ -452,17 +505,17 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
     Every such k lies in the k range, whose top is ceil(p/2) - m = m.
     d = x*x/k: q = 4k + 1, so 4k = -1 and p = 4x (mod q), and
     -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.
+    The primes are sieved at most _SPAN numbers at a time, and only a
+    visit whose closed form fails (_divisor_k_misses) walks the divisors
+    of x*x.
     """
-    violations = []
-    for p in _rule_primes(hi):
-        if p % 4 != 3:
-            continue
-        m = _x_bounds(p)[0]
-        for k in divisors(m):
-            x = m + k
-            if not _has_type1_witness_at(p, x, x * x // k):
-                violations.append((p, k))
-    return violations
+    _check_rule_hi(hi)
+    return [
+        (p, k)
+        for a, b in _chunk_bounds(3, hi, 1)
+        for p, k, x, d in _divisor_k_misses(a, b)
+        if not _has_type1_witness_at(p, x, d)
+    ]
 
 
 def residue_stats(report: ScanReport, modulus: int) -> dict[int, dict[str, Any]]:

@@ -28,6 +28,15 @@ def naive_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+def naive_window(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], crossing out multiples of naive_sieve's primes."""
+    flags = [n >= 2 for n in range(lo, hi + 1)]
+    for p in naive_sieve(math.isqrt(hi)):
+        for n in range(max(p * p, -(-lo // p) * p), hi + 1, p):
+            flags[n - lo] = False
+    return [n for n, f in zip(range(lo, hi + 1), flags) if f]
+
+
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -171,6 +180,20 @@ class TestPrimesInRange:
         assert primes_in_range(1, 1) == []
         assert primes_in_range(1, 2) == [2]
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 1), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (9, 9), (1, 100),
+            # even and odd ends: the odd-only flags start at lo | 1
+            (10**6, 10**6 + 500), (10**6 + 1, 10**6 + 501),
+            (10**6, 10**6 + 501), (10**6 + 1, 10**6 + 500),
+            (65519, 65539), (65536, 66000),
+            (2**32 - 2000, 2**32),
+        ],
+    )
+    def test_windows_match_a_naive_sieve(self, lo, hi):
+        assert primes_in_range(lo, hi) == naive_window(lo, hi)
+
     def test_every_small_window_matches_naive_sieve(self):
         # sqrt(hi) runs 1..17 here, so the base primes come by recursion
         # down to its bottom, where hi < 4 needs none.
@@ -184,7 +207,9 @@ class TestPrimesInRange:
         # with 2**16 < hi < 65537**2, and factorize's trial divisors.
         expected = naive_sieve(2**16)
         assert arith._SMALL_PRIMES == tuple(expected)
-        assert arith._SMALL_PRIME_SET == frozenset(expected)
+        # is_prime's flags for n <= 2**16, one byte per number
+        primes = set(expected)
+        assert arith._SMALL_PRIME_FLAGS == bytearray(n in primes for n in range(2**16 + 1))
         assert len(expected) == 6542 and expected[-1] == 65_521
 
     def test_window_where_the_base_switches_to_the_table(self):

@@ -546,6 +546,32 @@ def divisor_k_rule_pairs(hi):
     return pairs
 
 
+def every_k0_visit(primes):
+    """_k0_misses as if every closed form failed."""
+    visits = []
+    for p in primes:
+        if p % 24 != 1:
+            x = (p + 3) // 4
+            visits.append((p, x, 1 if p % 4 == 3 else 2 if x % 2 == 0 else x))
+    return visits
+
+
+def every_divisor_k_visit(lo, hi):
+    """_divisor_k_misses as if every closed form failed, from the real pairs."""
+    visits = []
+    for group in scan_module._divisor_k_groups(lo, hi):
+        for m, k in group:
+            x = m + k
+            visits.append((4 * m - 1, k, x, x * x // k))
+    return sorted(visits)
+
+
+def patch_every_visit_misses(monkeypatch):
+    """Every visit's closed form fails, so every visit goes to the walk."""
+    monkeypatch.setattr(scan_module, "_k0_misses", every_k0_visit)
+    monkeypatch.setattr(scan_module, "_divisor_k_misses", every_divisor_k_visit)
+
+
 def full_walk_has_type1(p, x):
     q = 4 * x - p
     return any((p * x + d) % q == 0 for d in divisors_of_square(x))
@@ -580,24 +606,13 @@ class TestRuleCertificates:
             count += 1
         assert count > 100_000
 
-    def test_each_visit_tests_one_closed_form(self, monkeypatch):
-        seen = []
-        test = scan_module._has_type1_witness_at
-
-        def recording_test(p, x, d):
-            seen.append((p, x, d))
-            return test(p, x, d)
-
-        monkeypatch.setattr(scan_module, "_has_type1_witness_at", recording_test)
-        assert check_k0_type1_rule(3000) == []
-        expected = []
-        for p in k0_rule_primes(3000):
-            x = (p + 3) // 4
-            expected.append((p, x, 1 if p % 4 == 3 else 2 if p % 24 in (5, 13) else x))
-        assert seen == expected
-        seen.clear()
-        assert check_divisor_k_rule(3000) == []
-        assert seen == [(p, x, x * x // k) for p, k, x in divisor_k_rule_pairs(3000)]
+    def test_each_visit_tests_one_closed_form(self):
+        # The closed forms hold for every prime, so no visit misses.
+        assert scan_module._k0_misses(primes_in_range(3, 3000)) == []
+        assert scan_module._divisor_k_misses(3, 3000) == []
+        # The k = 0 form fails only where 3 | p; these misses show the d
+        # chosen for even x at q = 3.
+        assert scan_module._k0_misses([21, 45]) == [(21, 6, 2), (45, 12, 2)]
 
     def test_closed_forms_never_walk_to_one_hundred_thousand(self, monkeypatch):
         walked = []
@@ -631,6 +646,7 @@ class TestRuleCertificates:
 
     def test_fallback_finds_witnesses_when_candidates_fail(self, monkeypatch):
         # A d that never divides x*x: every witness comes from the walk.
+        patch_every_visit_misses(monkeypatch)
         walked = []
         walk = scan_module.divisors_of_square
         test = scan_module._has_type1_witness_at
@@ -651,6 +667,7 @@ class TestRuleCertificates:
         # Each visit gets the least d above x*x in the target class mod q:
         # congruent, yet no divisor of x*x, so with no walk every case is
         # a violation.
+        patch_every_visit_misses(monkeypatch)
         test = scan_module._has_type1_witness_at
 
         def congruent_non_divisor(p, x, d):
@@ -664,10 +681,11 @@ class TestRuleCertificates:
 
     @pytest.mark.parametrize("list_everything", [False, True])
     def test_prime_chunks_drop_and_repeat_nothing(self, monkeypatch, list_everything):
-        # The rules sieve [3, hi] chunk by chunk; with every witness test
-        # failing every case is listed, so a prime lost or repeated at a
-        # chunk edge would show.
+        # The rules sieve [3, hi] chunk by chunk; with every closed form
+        # and witness test failing every case is listed, so a prime or a
+        # pair lost or repeated at a chunk edge would show.
         if list_everything:
+            patch_every_visit_misses(monkeypatch)
             monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: False)
         whole = check_k0_type1_rule(20_000), check_divisor_k_rule(20_000)
         monkeypatch.setattr(scan_module, "_SPAN", 97)
@@ -679,6 +697,7 @@ class TestRuleCertificates:
 
     def test_no_candidates_and_no_walk_lists_everything(self, monkeypatch, capsys):
         # d = x*x + 1 never divides x*x, and the walk finds nothing.
+        patch_every_visit_misses(monkeypatch)
         test = scan_module._has_type1_witness_at
         monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: test(p, x, x * x + 1))
         monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
@@ -686,6 +705,22 @@ class TestRuleCertificates:
         assert check_divisor_k_rule(2000) == [(p, k) for p, k, _ in divisor_k_rule_pairs(2000)]
         assert main(["properties", "200"]) == 5
         assert "VIOLATION p=199 k=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("span", [1 << 17, 97, 7])
+    @pytest.mark.parametrize("hi", [3, 7, 11, 15, 26, 99, 1000, 20_000])
+    def test_divisor_k_groups_list_each_pair_once(self, monkeypatch, span, hi):
+        # Listed by k up to isqrt of a chunk's top m and by the cofactor
+        # above it. A chunk's m window is one wide at hi = 3 ([3, 3]) and
+        # empty at hi = 26 with span 7 ([24, 26]).
+        monkeypatch.setattr(scan_module, "_SPAN", span)
+        pairs = [
+            (4 * m - 1, k, m + k)
+            for a, b in scan_module._chunk_bounds(3, hi, 1)
+            for group in scan_module._divisor_k_groups(a, b)
+            for m, k in group
+        ]
+        assert sorted(pairs) == divisor_k_rule_pairs(hi)
+        assert len(set(pairs)) == len(pairs)
 
 
 class TestResidueStats:
