@@ -303,7 +303,7 @@ def pool_sizes(monkeypatch):
         def imap(self, fn, tasks):
             return (fn(t) for t in tasks)
 
-    # _run_chunks imports Pool from multiprocessing when a pool starts
+    # ScanStream imports Pool from multiprocessing when a pool starts
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return sizes
 
@@ -548,22 +548,12 @@ def divisor_k_rule_pairs(hi):
 
 def every_k0_visit(primes):
     """_k0_misses as if every closed form failed."""
-    visits = []
-    for p in primes:
-        if p % 24 != 1:
-            x = (p + 3) // 4
-            visits.append((p, x, 1 if p % 4 == 3 else 2 if x % 2 == 0 else x))
-    return visits
+    return [(p, (p + 3) // 4) for p in primes if p % 24 != 1]
 
 
 def every_divisor_k_visit(lo, hi):
     """_divisor_k_misses as if every closed form failed, from the real pairs."""
-    visits = []
-    for group in scan_module._divisor_k_groups(lo, hi):
-        for m, k in group:
-            x = m + k
-            visits.append((4 * m - 1, k, x, x * x // k))
-    return sorted(visits)
+    return sorted((4 * m - 1, k, m + k) for m, k in scan_module._divisor_k_pairs(lo, hi))
 
 
 def patch_every_visit_misses(monkeypatch):
@@ -585,6 +575,19 @@ def full_walk_k0_rule(hi):
 def full_walk_divisor_k_rule(hi):
     """The divisor-k rule as a walk over every divisor of x*x."""
     return [(p, k) for p, k, x in divisor_k_rule_pairs(hi) if not full_walk_has_type1(p, x)]
+
+
+def assert_divisor_k_pairs_once(hi):
+    """_divisor_k_pairs over the rules' chunks of [3, hi] lists every
+    (p, k, x) of divisor_k_rule_pairs once; returns how many."""
+    pairs = [
+        (4 * m - 1, k, m + k)
+        for a, b in scan_module._chunk_bounds(3, hi, 1)
+        for m, k in scan_module._divisor_k_pairs(a, b)
+    ]
+    assert sorted(pairs) == divisor_k_rule_pairs(hi)
+    assert len(set(pairs)) == len(pairs)
+    return len(pairs)
 
 
 class TestRuleCertificates:
@@ -612,9 +615,11 @@ class TestRuleCertificates:
         assert scan_module._divisor_k_misses(3, 3000) == []
         # The k = 0 form fails only where 3 | p; these misses show the d
         # chosen for even x at q = 3.
-        assert scan_module._k0_misses([21, 45]) == [(21, 6, 2), (45, 12, 2)]
+        assert scan_module._k0_misses([21, 45]) == [(21, 6), (45, 12)]
 
     def test_closed_forms_never_walk_to_one_hundred_thousand(self, monkeypatch):
+        # Only a failed closed form walks, so this pins each chosen d: with
+        # d = 1 for even x, p = 5 (x = 2, q = 3) would walk.
         walked = []
         monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: walked.append(x) or [])
         assert check_k0_type1_rule(100_000) == []
@@ -633,51 +638,26 @@ class TestRuleCertificates:
             for x in range(lo, hi + 1):
                 expected = full_walk_has_type1(p, x)
                 misses += not expected
-                for d in (1, 2, x, x * x + 1):
-                    assert scan_module._has_type1_witness_at(p, x, d) == expected, (p, x, d)
+                assert scan_module._has_type1_witness_at(p, x) == expected, (p, x)
         assert misses > 0
-        assert not scan_module._has_type1_witness_at(73, 19, 19)
-
-    def test_failed_candidate_falls_back_to_the_walk(self):
-        # p = 5, x = 2: q = 3 and the target is 2; d = 1 divides 4 but
-        # misses, and d = 5 hits the target but does not divide 4.
-        assert scan_module._has_type1_witness_at(5, 2, 1)
-        assert scan_module._has_type1_witness_at(5, 2, 5)
+        assert not scan_module._has_type1_witness_at(73, 19)
 
     def test_fallback_finds_witnesses_when_candidates_fail(self, monkeypatch):
-        # A d that never divides x*x: every witness comes from the walk.
+        # Every closed form fails: every witness comes from the walk.
         patch_every_visit_misses(monkeypatch)
         walked = []
         walk = scan_module.divisors_of_square
-        test = scan_module._has_type1_witness_at
 
         def counting_walk(x):
             walked.append(x)
             return walk(x)
 
-        monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: test(p, x, x * x + 1))
         monkeypatch.setattr(scan_module, "divisors_of_square", counting_walk)
         assert check_k0_type1_rule(3000) == []
         assert len(walked) == len(k0_rule_primes(3000))
         walked.clear()
         assert check_divisor_k_rule(3000) == []
         assert len(walked) == len(divisor_k_rule_pairs(3000))
-
-    def test_non_divisors_never_certify(self, monkeypatch):
-        # Each visit gets the least d above x*x in the target class mod q:
-        # congruent, yet no divisor of x*x, so with no walk every case is
-        # a violation.
-        patch_every_visit_misses(monkeypatch)
-        test = scan_module._has_type1_witness_at
-
-        def congruent_non_divisor(p, x, d):
-            q = 4 * x - p
-            return test(p, x, x * x + 1 + (-p * x - x * x - 1) % q)
-
-        monkeypatch.setattr(scan_module, "_has_type1_witness_at", congruent_non_divisor)
-        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
-        assert check_k0_type1_rule(500) == k0_rule_primes(500)
-        assert check_divisor_k_rule(500) == [(p, k) for p, k, _ in divisor_k_rule_pairs(500)]
 
     @pytest.mark.parametrize("list_everything", [False, True])
     def test_prime_chunks_drop_and_repeat_nothing(self, monkeypatch, list_everything):
@@ -686,7 +666,7 @@ class TestRuleCertificates:
         # pair lost or repeated at a chunk edge would show.
         if list_everything:
             patch_every_visit_misses(monkeypatch)
-            monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: False)
+            monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x: False)
         whole = check_k0_type1_rule(20_000), check_divisor_k_rule(20_000)
         monkeypatch.setattr(scan_module, "_SPAN", 97)
         assert len(scan_module._chunk_bounds(3, 20_000, 1)) == 207
@@ -696,10 +676,9 @@ class TestRuleCertificates:
             assert whole[1] == [(p, k) for p, k, _ in divisor_k_rule_pairs(20_000)]
 
     def test_no_candidates_and_no_walk_lists_everything(self, monkeypatch, capsys):
-        # d = x*x + 1 never divides x*x, and the walk finds nothing.
+        # Every closed form fails and the walk finds nothing, so every
+        # visit is a violation: nothing but a divisor of x*x certifies.
         patch_every_visit_misses(monkeypatch)
-        test = scan_module._has_type1_witness_at
-        monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x, d: test(p, x, x * x + 1))
         monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
         assert check_k0_type1_rule(2000) == k0_rule_primes(2000)
         assert check_divisor_k_rule(2000) == [(p, k) for p, k, _ in divisor_k_rule_pairs(2000)]
@@ -709,18 +688,17 @@ class TestRuleCertificates:
     @pytest.mark.parametrize("span", [1 << 17, 97, 7])
     @pytest.mark.parametrize("hi", [3, 7, 11, 15, 26, 99, 1000, 20_000])
     def test_divisor_k_groups_list_each_pair_once(self, monkeypatch, span, hi):
-        # Listed by k up to isqrt of a chunk's top m and by the cofactor
-        # above it. A chunk's m window is one wide at hi = 3 ([3, 3]) and
-        # empty at hi = 26 with span 7 ([24, 26]).
+        # _divisor_k_pairs lists each pair at the lesser t of k and m/k.
+        # A chunk's m window is one wide at hi = 3 ([3, 3]), where m = 1 =
+        # t*t gives k = 1 once, and empty at hi = 26 with span 7 ([24, 26]).
         monkeypatch.setattr(scan_module, "_SPAN", span)
-        pairs = [
-            (4 * m - 1, k, m + k)
-            for a, b in scan_module._chunk_bounds(3, hi, 1)
-            for group in scan_module._divisor_k_groups(a, b)
-            for m, k in group
-        ]
-        assert sorted(pairs) == divisor_k_rule_pairs(hi)
-        assert len(set(pairs)) == len(pairs)
+        assert_divisor_k_pairs_once(hi)
+
+    def test_divisor_k_pairs_at_the_real_span(self):
+        # 8 chunks to 10**6, 7 of them full; a slice starts at t*t inside
+        # its chunk's m window for the 499 t with m_lo < t*t <= m_hi.
+        assert scan_module._SPAN == 1 << 17
+        assert assert_divisor_k_pairs_once(10**6) == 597_963
 
 
 class TestResidueStats:
