@@ -659,6 +659,23 @@ class TestRuleCertificates:
         assert check_divisor_k_rule(3000) == []
         assert len(walked) == len(divisor_k_rule_pairs(3000))
 
+    def test_non_divisors_never_certify(self, monkeypatch):
+        # Pairs (m, k) whose k does not divide x*x at x = m + k: the closed
+        # form x*x // k is then rounded down, and a d so made is never
+        # congruent (x*x = k*d + r gives -p*x = d - 4r mod 4k + 1, 0 < r < k),
+        # so with no walk every such visit is a violation.
+        def non_divisor_pairs(lo, hi):
+            for p in primes_in_range(lo, hi):
+                if p % 4 == 3:
+                    m = (p + 1) // 4
+                    yield from ((m, k) for k in range(1, m + 1) if (m + k) ** 2 % k)
+
+        monkeypatch.setattr(scan_module, "_divisor_k_pairs", non_divisor_pairs)
+        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
+        expected = [(4 * m - 1, k) for m, k in non_divisor_pairs(3, 1000)]
+        assert len(expected) == 9097
+        assert check_divisor_k_rule(1000) == expected
+
     @pytest.mark.parametrize("list_everything", [False, True])
     def test_prime_chunks_drop_and_repeat_nothing(self, monkeypatch, list_everything):
         # The rules sieve [3, hi] chunk by chunk; with every closed form
