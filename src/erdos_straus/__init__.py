@@ -8,27 +8,30 @@ a solution and collect residue-class statistics; the report module
 tabulates and plots the admissible offsets.
 
 Each module's __all__ is its list of public names; the package
-re-exports all of them.
+re-exports all of them, bound on first use, so `import
+erdos_straus.cli` and the scan, properties, check and solve commands
+never load recover or report.
 """
-
-from . import arith, errors, oracle, recover, report, scan, witness
-from .arith import *
-from .errors import *
-from .oracle import *
-from .recover import *
-from .report import *
-from .scan import *
-from .witness import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    *arith.__all__,
-    *errors.__all__,
-    *oracle.__all__,
-    *recover.__all__,
-    *report.__all__,
-    *scan.__all__,
-    *witness.__all__,
-]
+_MODULES = ("arith", "errors", "oracle", "recover", "report", "scan", "witness")
+
+
+def __getattr__(name: str) -> object:
+    # Python calls this only for names not bound here; the first call binds them all.
+    if "__all__" not in globals():
+        from importlib import import_module
+        names = ["__version__"]
+        for module in (import_module(f"{__name__}.{m}") for m in _MODULES):
+            names += module.__all__
+            globals().update((n, getattr(module, n)) for n in module.__all__)
+        globals()["__all__"] = names
+    if name in globals():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")
+    return sorted(globals())

@@ -3,7 +3,8 @@
 Subcommands: check, solve, scan, table, figure, compare, properties.
 Exit codes are stable: 0 success, 2 usage or domain error, 3 a scan
 found a prime with no witness, 4 I/O failure, 5 a correspondence or
-structural-rule violation.
+structural-rule violation. compare, table and figure import recover
+and report when they run, so the other commands never load them.
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from typing import Any, Iterable, Optional, Sequence
 from .arith import primes_in_range
 from .errors import CorrespondenceError, DomainError, ResourceLimitError
 from .oracle import DEFAULT_CAP, solve_bruteforce
-from .recover import check_correspondences
-from .report import (
-    figure_points,
-    k_table,
-    k_table_csv,
-    k_table_json,
-    points_csv,
-    render_scatter,
-)
 from .scan import (
     ScanStream,
     _check_rule_hi,
@@ -152,6 +144,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .report import k_table, k_table_csv, k_table_json
     stype = SolutionType.TYPE_I if args.which == 1 else SolutionType.TYPE_II
     rows = k_table(args.hi, stype)
     text = k_table_csv(rows) if args.format == "csv" else k_table_json(rows) + "\n"
@@ -163,6 +156,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from .report import figure_points, points_csv, render_scatter
     points = figure_points(args.hi)
     wrote = False
     if args.points_out:
@@ -177,6 +171,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .recover import check_correspondences
     if args.hi > DEFAULT_CAP:
         raise ResourceLimitError(f"hi={args.hi} exceeds the oracle cap {DEFAULT_CAP}")
     primes = primes_in_range(args.lo, args.hi)

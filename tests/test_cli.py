@@ -288,9 +288,9 @@ class TestCompare:
         assert data["primes"] == 15
 
     def test_violation_exit_code(self, monkeypatch, capsys):
+        # cmd_compare reads check_correspondences from recover when it runs.
         monkeypatch.setattr(
-            cli,
-            "check_correspondences",
+            "erdos_straus.recover.check_correspondences",
             lambda primes: [f"p={p}: fabricated" for p in primes],
         )
         assert main(["compare", "2", "10"]) == 5
@@ -328,7 +328,7 @@ class TestCompare:
         def raising(primes):
             raise CorrespondenceError("planted for p=7")
 
-        monkeypatch.setattr(cli, "check_correspondences", raising)
+        monkeypatch.setattr("erdos_straus.recover.check_correspondences", raising)
         assert main(["compare", "2", "10"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import erdos_straus
 from erdos_straus import arith, errors, oracle, recover, report, scan, witness
 
@@ -51,3 +53,45 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _run_fresh(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_only_compare_table_and_figure_load_recover_and_report():
+    # Package names are bound on first use, so a command loads only what it runs.
+    code = (
+        "import contextlib, io, sys\n"
+        "from erdos_straus.cli import main\n"
+        "def loaded(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "        assert not argv or main(list(argv)) == 0\n"
+        "    return [m for m in ('recover', 'report') if 'erdos_straus.' + m in sys.modules]\n"
+        "print(loaded(), loaded('scan', '2', '3'), loaded('properties', '3'))\n"
+        "print(loaded('compare', '2', '10'), loaded('table', '1', '--hi', '10'))\n"
+    )
+    assert _run_fresh(code) == "[] [] []\n['recover'] ['recover', 'report']\n"
+
+
+def test_first_lookup_binds_modules_and_only_known_names():
+    code = (
+        "import sys\n"
+        "import erdos_straus as es\n"
+        "print(es.scan is sys.modules['erdos_straus.scan'])\n"
+        "print(hasattr(es, 'no_such_name'), set(es.__all__) <= set(dir(es)))\n"
+    )
+    assert _run_fresh(code) == "True\nFalse True\n"
+
+
+def test_version_matches_pyproject():
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert erdos_straus.__version__ == tomllib.load(fh)["project"]["version"]
