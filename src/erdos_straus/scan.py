@@ -27,6 +27,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Iterable, Iterator, Optional
@@ -222,43 +223,48 @@ def _exhaustive_records(primes: list[int]) -> list[ScanRecord]:
     return records
 
 
-# A tally maps each residue class to [count, with_witness, k0_type1,
-# min_total, max_total]. Only exhaustive records carry witness counts;
-# first-only ones leave the last three at their start values.
+# A tally maps each residue class to [count, k0_type1, min_total,
+# max_total]: its primes, counted in one pass, and the witness
+# statistics of their exhaustive records, if any were given (first-only
+# tallies leave the last three at their start values). with_witness is
+# not kept: it is the count less the class's counterexamples.
 _Tally = dict[int, list]
 
 
-def _tally(records: Iterable[ScanRecord], modulus: int) -> _Tally:
-    tally: _Tally = {}
+def _tally(primes: Iterable[int], modulus: int, records: Iterable[ScanRecord] = ()) -> _Tally:
+    tally: _Tally = {
+        residue: [count, 0, math.inf, 0]
+        for residue, count in Counter(p % modulus for p in primes).items()
+    }
     for r in records:
-        entry = tally.setdefault(r.p % modulus, [0, 0, 0, math.inf, 0])
-        entry[0] += 1
-        entry[1] += r.first is not None
-        counts = r.witness_count_by_type
-        if counts is not None:
-            total = counts[0] + counts[1]
-            entry[2] += 0 in r.type1_k_set
-            entry[3] = min(entry[3], total)
-            entry[4] = max(entry[4], total)
+        entry = tally[r.p % modulus]
+        total = sum(r.witness_count_by_type)
+        entry[1] += 0 in r.type1_k_set
+        entry[2] = min(entry[2], total)
+        entry[3] = max(entry[3], total)
     return tally
 
 
 def _merge_tally(into: _Tally, part: _Tally) -> None:
-    for residue, (count, with_witness, k0, lo, hi) in part.items():
-        c, w, k, mn, mx = into.get(residue, (0, 0, 0, math.inf, 0))
-        into[residue] = [c + count, w + with_witness, k + k0, min(mn, lo), max(mx, hi)]
+    for residue, (count, k0, lo, hi) in part.items():
+        c, k, mn, mx = into.get(residue, (0, 0, math.inf, 0))
+        into[residue] = [c + count, k + k0, min(mn, lo), max(mx, hi)]
 
 
-def _finish_tally(tally: _Tally, modulus: int, mode: str) -> dict[int, dict[str, Any]]:
-    """The residue summary of one scan's tally; each fraction is divided
-    here, once. A first-only scan has no witness statistics."""
+def _finish_tally(
+    tally: _Tally, modulus: int, mode: str, counterexamples: Iterable[int]
+) -> dict[int, dict[str, Any]]:
+    """The residue summary of one scan's tally and counterexamples; each
+    fraction is divided here, once. A first-only scan has no witness
+    statistics."""
     exhaustive = mode == "exhaustive"
+    missing = Counter(p % modulus for p in counterexamples)
     summary: dict[int, dict[str, Any]] = {}
     for residue in sorted(tally):
-        count, with_witness, k0, lo, hi = tally[residue]
+        count, k0, lo, hi = tally[residue]
         summary[residue] = {
             "count": count,
-            "with_witness": with_witness,
+            "with_witness": count - missing[residue],
             "k0_type1_fraction": k0 / count if exhaustive else None,
             "min_witness_count": lo if exhaustive else None,
             "max_witness_count": hi if exhaustive else None,
@@ -268,35 +274,29 @@ def _finish_tally(tally: _Tally, modulus: int, mode: str) -> dict[int, dict[str,
 
 
 def _chunk_pieces(task: tuple[int, int, str], tally: _Tally, missing: list[int]) -> Iterator[str]:
-    """A chunk's record text, piece by piece, from one sieve; each prime
-    is counted into tally (mod 24), and one with no witness into missing.
-    First-only: a piece per _PIECE_LINES lines, formatted straight from
-    the search's (x, d, type) in the bytes record_line gives for the
-    scan_primes record. Exhaustive: the chunk's text as one piece."""
+    """A chunk's record text, piece by piece, from one sieve; its primes
+    are counted into tally (mod 24) in one pass, and each with no
+    witness goes into missing. First-only: a piece per _PIECE_LINES
+    lines, formatted straight from the search's (x, d, type) in the
+    bytes record_line gives for the scan_primes record. Exhaustive: the
+    chunk's text as one piece."""
     lo, hi, mode = task
     primes = primes_in_range(lo, hi)
     if mode == "exhaustive":
         records = _exhaustive_records(primes)
-        _merge_tally(tally, _tally(records, 24))
+        _merge_tally(tally, _tally(primes, 24, records))
         missing.extend(r.p for r in records if r.first is None)
         yield "".join([record_line(r) + "\n" for r in records])
         return
+    _merge_tally(tally, _tally(primes, 24))
     for i in range(0, len(primes), _PIECE_LINES):
         lines = []
         for p in primes[i : i + _PIECE_LINES]:
             hit = _first_witness_unchecked(p)
-            residue = p % 24
-            entry = tally.get(residue)
-            if entry is None:  # setdefault would build a spare list per prime
-                entry = tally[residue] = [0, 0, 0, math.inf, 0]
-            entry[0] += 1
             if hit is None:
-                first = "null"
                 missing.append(p)
-            else:
-                first = _first_json(p, *hit)
-                entry[1] += 1
-            lines.append(_record_json(first, p, residue, p % 840, "null", "null", "null"))
+            first = "null" if hit is None else _first_json(p, *hit)
+            lines.append(_record_json(first, p, p % 24, p % 840, "null", "null", "null"))
         yield "\n".join(lines) + "\n"
 
 
@@ -305,6 +305,18 @@ def _chunk_text(task: tuple[int, int, str]) -> tuple[str, _Tally, list[int]]:
     tally: _Tally = {}
     missing: list[int] = []
     return "".join(_chunk_pieces(task, tally, missing)), tally, missing
+
+
+def _report(
+    lo: int, hi: int, mode: str, start: float, tally: _Tally, missing: list[int],
+    records: Iterable[ScanRecord] = (),
+) -> ScanReport:
+    """The ScanReport of a scan begun at perf_counter() = start, from its
+    tally mod 24, which also gives the prime count, and counterexamples."""
+    summary = _finish_tally(tally, 24, mode, missing)
+    prime_count = sum(entry[0] for entry in tally.values())
+    elapsed = time.perf_counter() - start
+    return ScanReport(lo, hi, mode, tuple(records), tuple(missing), summary, elapsed, prime_count)
 
 
 def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
@@ -328,16 +340,9 @@ def scan_primes(lo: int, hi: int, mode: str = "first-only") -> ScanReport:
             hit = _first_witness_unchecked(p)
             w = None if hit is None else Witness(p, *hit)
             records.append(ScanRecord(p, w, None, None, None, p % 24, p % 840))
-    return ScanReport(
-        lo=lo,
-        hi=hi,
-        mode=mode,
-        records=tuple(records),
-        counterexamples=tuple(r.p for r in records if r.first is None),
-        residue_summary=_finish_tally(_tally(records, 24), 24, mode),
-        elapsed=time.perf_counter() - start,
-        prime_count=len(records),
-    )
+    tally = _tally(primes, 24, records if mode == "exhaustive" else ())
+    counterexamples = [r.p for r in records if r.first is None]
+    return _report(lo, hi, mode, start, tally, counterexamples, records)
 
 
 class ScanStream:
@@ -346,7 +351,7 @@ class ScanStream:
     Iterating cuts [lo, hi] into chunks and runs them on a pool of one
     process per worker, capped at the usable CPUs, or in process, piece
     by piece, when that is one process or the range one chunk. Each task
-    formats its own record lines and tallies them, so only text, a
+    formats its own record lines and tallies its primes, so only text, a
     tally and counterexamples leave the process that ran it. A first-only
     chunk's text is held whole only on a pool (see _chunk_pieces). Once
     iteration ends, `report` is the scan's ScanReport: records=(), and
@@ -378,16 +383,7 @@ class ScanStream:
                     yield text
                     _merge_tally(tally, part)
                     counterexamples.extend(found)
-        self.report = ScanReport(
-            lo=self.lo,
-            hi=self.hi,
-            mode=self.mode,
-            records=(),
-            counterexamples=tuple(counterexamples),
-            residue_summary=_finish_tally(tally, 24, self.mode),
-            elapsed=time.perf_counter() - start,
-            prime_count=sum(entry[0] for entry in tally.values()),
-        )
+        self.report = _report(self.lo, self.hi, self.mode, start, tally, counterexamples)
 
 
 def _has_type1_witness_at(p: int, x: int) -> bool:
@@ -516,4 +512,6 @@ def residue_stats(report: ScanReport, modulus: int) -> dict[int, dict[str, Any]]
         raise DomainError("residue_stats needs an exhaustive-mode report")
     if len(report.records) != report.prime_count:
         raise DomainError("residue_stats needs a report that kept its records")
-    return _finish_tally(_tally(report.records, modulus), modulus, report.mode)
+    records = report.records
+    tally = _tally((r.p for r in records), modulus, records)
+    return _finish_tally(tally, modulus, report.mode, report.counterexamples)

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -161,9 +162,17 @@ class TestRecordLine:
         assert summary_line(report, 3) == json.dumps(summary, sort_keys=True, separators=(",", ":"))
 
 
+def timeless_summary(report):
+    """The report's summary line as an object, without elapsed_seconds."""
+    summary = json.loads(summary_line(report, 1))
+    del summary["elapsed_seconds"]
+    return summary
+
+
 def assert_stream_matches(report, stream):
-    """The stream's text and report equal those of the unchunked,
-    in-process reference scan_primes of the same range."""
+    """The stream's text and report, and so its summary bar the elapsed
+    time, equal those of the unchunked, in-process reference scan_primes
+    of the same range."""
     assert stream.report is None
     text = "".join(stream)
     assert text == "".join(record_line(r) + "\n" for r in report.records)
@@ -172,6 +181,7 @@ def assert_stream_matches(report, stream):
     assert streamed.prime_count == report.prime_count == len(report.records)
     assert streamed.counterexamples == report.counterexamples
     assert streamed.residue_summary == report.residue_summary
+    assert timeless_summary(streamed) == timeless_summary(report)
 
 
 def assert_pieces_match(report, monkeypatch):
@@ -183,10 +193,7 @@ def assert_pieces_match(report, monkeypatch):
     assert pieces and all(p.endswith("\n") and p.count("\n") <= 7 for p in pieces)
     assert "".join(pieces) == "".join(record_line(r) + "\n" for r in report.records)
     assert stream.report.counterexamples == report.counterexamples
-    summaries = [json.loads(summary_line(r, 1)) for r in (stream.report, report)]
-    for summary in summaries:
-        del summary["elapsed_seconds"]
-    assert summaries[0] == summaries[1]
+    assert timeless_summary(stream.report) == timeless_summary(report)
 
 
 class TestScanStream:
@@ -195,10 +202,6 @@ class TestScanStream:
         report = scan_primes(2, 1500, mode=mode)
         stream = ScanStream(2, 1500, mode=mode)
         assert_stream_matches(report, stream)
-        summaries = [json.loads(summary_line(r, 1)) for r in (stream.report, report)]
-        for summary in summaries:
-            del summary["elapsed_seconds"]
-        assert summaries[0] == summaries[1]
 
     def test_arguments_checked_before_iteration(self):
         with pytest.raises(DomainError):
@@ -259,27 +262,51 @@ class TestTally:
         return scan_primes(2, 1500, mode="exhaustive").records
 
     @staticmethod
-    def merged_at(records, cut, modulus, mode):
-        tally = scan_module._tally(records[:cut], modulus)
-        scan_module._merge_tally(tally, scan_module._tally(records[cut:], modulus))
-        return scan_module._finish_tally(tally, modulus, mode)
+    def tally(records, modulus, mode):
+        """The tally a chunk of that mode makes of the records' primes."""
+        primes = [r.p for r in records]
+        return scan_module._tally(primes, modulus, records if mode == "exhaustive" else ())
+
+    @classmethod
+    def finished(cls, records, cut, modulus, mode):
+        """The summary of records tallied as two chunks cut at `cut`."""
+        tally = cls.tally(records[:cut], modulus, mode)
+        scan_module._merge_tally(tally, cls.tally(records[cut:], modulus, mode))
+        missing = [r.p for r in records if r.first is None]
+        return scan_module._finish_tally(tally, modulus, mode, missing)
 
     @pytest.mark.parametrize("modulus", [24, 840])
     def test_every_cut_of_exhaustive_records(self, exhaustive, modulus):
         expected = reference_summary(exhaustive, modulus)
-        whole = scan_module._tally(exhaustive, modulus)
-        assert scan_module._finish_tally(whole, modulus, "exhaustive") == expected
         for cut in range(len(exhaustive) + 1):
-            assert self.merged_at(exhaustive, cut, modulus, "exhaustive") == expected, cut
+            assert self.finished(exhaustive, cut, modulus, "exhaustive") == expected, cut
 
     def test_first_only_records(self):
         # A first-only scan has no witness statistics.
         records = scan_primes(2, 1500).records
         expected = reference_summary(records, 24)
-        whole = scan_module._tally(records, 24)
-        assert scan_module._finish_tally(whole, 24, "first-only") == expected
         for cut in range(0, len(records) + 1, 7):
-            assert self.merged_at(records, cut, 24, "first-only") == expected, cut
+            assert self.finished(records, cut, 24, "first-only") == expected, cut
+
+    @pytest.mark.parametrize("modulus", [24, 840])
+    @pytest.mark.parametrize("mode", ["exhaustive", "first-only"])
+    def test_classes_with_counterexamples(self, exhaustive, mode, modulus):
+        # with_witness is derived from the counterexamples; reference_summary
+        # counts the records whose first is not None.
+        missing = (211, 1009, 1013)
+        if mode == "exhaustive":
+            records = [
+                ScanRecord(r.p, None, (), (), (0, 0), r.p % 24, r.p % 840) if r.p in missing else r
+                for r in exhaustive
+            ]
+        else:
+            records = [
+                replace(r, first=None) if r.p in missing else r for r in scan_primes(2, 1500).records
+            ]
+        expected = reference_summary(records, modulus)
+        assert sum(e["count"] - e["with_witness"] for e in expected.values()) == len(missing)
+        for cut in range(len(records) + 1):
+            assert self.finished(records, cut, modulus, mode) == expected, cut
 
 
 @pytest.fixture
@@ -390,6 +417,40 @@ class TestCounterexamplesInsideChunks:
         monkeypatch.setattr(scan_module, "_usable_cpus", lambda: 1)
         assert_stream_matches(reference, ScanStream(2, 3000, workers=3))
         assert pool_sizes == []
+
+
+class TestExhaustiveCounterexamplesInsideChunks:
+    """The same fabricated counterexamples in exhaustive mode: the walk
+    yields no witness of them, so their records and the tally's classes
+    carry no witness, chunked or not."""
+
+    MISSING = TestCounterexamplesInsideChunks.MISSING
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        walk = scan_module._witnesses_x_major
+        monkeypatch.setattr(
+            scan_module,
+            "_witnesses_x_major",
+            lambda primes: (w for w in walk(primes) if w.p not in self.MISSING),
+        )
+        report = scan_primes(2, 3000, mode="exhaustive")
+        assert report.counterexamples == self.MISSING
+        summary = report.residue_summary.values()
+        assert sum(e["count"] - e["with_witness"] for e in summary) == len(self.MISSING)
+        return report
+
+    def test_one_chunk(self, reference):
+        assert len(scan_module._chunk_bounds(2, 3000, 1)) == 1
+        assert_stream_matches(reference, ScanStream(2, 3000, mode="exhaustive"))
+
+    def test_chunks_of_97(self, reference, monkeypatch):
+        monkeypatch.setattr(scan_module, "_SPAN", 97)
+        assert_stream_matches(reference, ScanStream(2, 3000, mode="exhaustive"))
+
+    def test_pool_of_3(self, reference, pool_sizes):
+        assert_stream_matches(reference, ScanStream(2, 3000, mode="exhaustive", workers=3))
+        assert pool_sizes == [3]
 
 
 def reference_exhaustive(hi):
