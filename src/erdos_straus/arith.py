@@ -10,21 +10,19 @@ one pass, one flag byte per odd number, so its memory follows the
 window. The primes below 2**16 are sieved by it once, at import, and
 then serve as its base primes, as factorize's trial divisors and, as
 one flag byte per number, as is_prime's answer up to 2**16.
-Factorization by them is complete for n < 65537**2; past that bound
-it and everything built on it raise DomainError. Nothing is cached.
+Trial division by them factors every n < 65537**2; past that bound
+factorize and everything built on it raise DomainError. Nothing is cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice
 from math import isqrt
-from typing import Iterator
+from typing import Iterable
 
 from .errors import DomainError
 
 __all__ = [
-    "Factorization",
     "divisors",
     "divisors_of_square",
     "factorize",
@@ -120,30 +118,17 @@ def is_prime(n: int) -> bool:
     return all(_mr_witness_passes(n, a, d, r) for a in bases)
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
-    """Prime-power decomposition: n = prod(p**e for p, e in factors).
-
-    factors is sorted by prime ascending; n == 1 iff factors is empty.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.factors)
-
-
 # After division by every prime below 2**16 (the last is 65521), a
 # cofactor below 65537**2 is 1 or a prime. Scans stop at p <= 2**32,
 # so every x they factor is below this bound.
 _FACTOR_BOUND = 65_537**2
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime-power factorization of 1 <= n < 65537**2, by trial division.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The (p, e) pairs with n = prod(p**e), primes ascending, by trial division.
 
-    Raises DomainError past that bound rather than factoring further.
+    Empty iff n == 1. For 1 <= n < 65537**2 only: raises DomainError
+    past that bound rather than factoring further.
     """
     if not 1 <= n < _FACTOR_BOUND:
         raise DomainError(f"factorize expects 1 <= n < 65537**2, got {n}")
@@ -160,10 +145,10 @@ def factorize(n: int) -> Factorization:
             pairs.append((p, e))
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(n, tuple(pairs))
+    return pairs
 
 
-def _expand_divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
+def _expand_divisors(factors: Iterable[tuple[int, int]]) -> list[int]:
     divs = [1]
     for p, e in factors:
         power = 1
@@ -178,7 +163,7 @@ def _expand_divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of 1 <= n < 65537**2, ascending."""
-    return _expand_divisors(factorize(n).factors)
+    return _expand_divisors(factorize(n))
 
 
 def divisors_of_square(x: int) -> list[int]:
@@ -188,4 +173,4 @@ def divisors_of_square(x: int) -> list[int]:
     """
     if x < 1:
         raise DomainError(f"divisors_of_square expects x >= 1, got {x}")
-    return _expand_divisors(tuple((p, 2 * e) for p, e in factorize(x).factors))
+    return _expand_divisors((p, 2 * e) for p, e in factorize(x))

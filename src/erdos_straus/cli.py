@@ -30,7 +30,7 @@ from .witness import (
     SolutionType,
     Witness,
     build_solution,
-    enumerate_witnesses,
+    iter_witnesses,
 )
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     # build_solution certifies the identity, raising if it fails.
-    entries = [(w, build_solution(w)) for w in enumerate_witnesses(args.p)]
+    entries = [(w, build_solution(w)) for w in iter_witnesses(args.p)]
     if args.json:
         print(
             _compact(

@@ -11,10 +11,10 @@ witness rebuilds exactly (y, z), with q = 4*x - p:
 Every property the characterization promises about d is re-derived
 rather than assumed, each tested once; a failure raises
 CorrespondenceError because it would be a counterexample, not a usage
-problem. check_correspondence(s) drive the full two-way comparison
+problem. check_correspondences drives the full two-way comparison
 against the brute-force oracle, under the oracle's default cap of
-100,000 on p. They build each witness once, which certifies its
-solution, and re-derive the witness from that solution (the forward
+100,000 on p. It builds each witness once, which certifies its
+solution, and re-derives the witness from that solution (the forward
 round trip). An oracle solution equal to one that round-tripped
 forward round-trips backward by the same derivation and build. Each
 other oracle solution has its witness derived from (x, y) by
@@ -41,7 +41,6 @@ from .witness import (
 __all__ = [
     "classify_solution",
     "recover_witness",
-    "check_correspondence",
     "check_correspondences",
 ]
 
@@ -126,11 +125,12 @@ def _listing(side: Counter) -> str:
     return "[" + ", ".join(f"{t.value} {s}" for t, s in sorted(side.elements())) + "]"
 
 
-def check_correspondence(p: int) -> list[str]:
+def check_correspondences(primes: Sequence[int]) -> list[str]:
     """Two-way comparison of witness search against the brute-force oracle.
 
-    Returns a list of violation descriptions (empty means the
-    correspondence is perfect for p):
+    Returns the violation descriptions of each of the strictly
+    ascending primes, in order (empty means the correspondence is
+    perfect for every one). For each prime p:
 
       - the witness-built solutions and the oracle's solutions, each
         counted by (type, triple), are the same multiset; a solution
@@ -140,20 +140,13 @@ def check_correspondence(p: int) -> list[str]:
       - backward round-trip: oracle solution -> witness -> rebuilt
         solution is the identity.
 
-    The oracle's default cap applies: ResourceLimitError for p > 100,000.
-    """
-    return check_correspondences((p,))
-
-
-def check_correspondences(primes: Sequence[int]) -> list[str]:
-    """check_correspondence for each of strictly ascending primes, in order.
-
     The witnesses of all the primes come from one x-major walk, grouped
     by prime, so each x is factored once for every prime it serves. The
     oracle's solutions come prime by prime from its own x-major walk,
     and each prime's witnesses are dropped once the prime is checked.
-    The oracle's default cap applies. The oracle checks order, and the
-    cap on the largest prime, before either walk starts.
+    The oracle's default cap applies: ResourceLimitError for a prime
+    past 100,000. The oracle checks order, and the cap on the largest
+    prime, before either walk starts.
     """
     for p in primes:
         _require_prime(p)
@@ -171,7 +164,7 @@ def check_correspondences(primes: Sequence[int]) -> list[str]:
 def _correspondence_problems(
     p: int, witnesses: list[Witness], solutions: list[tuple[int, int, int]]
 ) -> list[str]:
-    """The violations of check_correspondence for p, from all of its witnesses and solutions."""
+    """The violations check_correspondences lists for p, from its witnesses and solutions."""
     problems: list[str] = []
 
     # A forward trip that re-derives w makes recover_witness on its

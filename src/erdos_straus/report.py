@@ -11,14 +11,12 @@ computation path to drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .scan import ScanRecord, scan_primes
 from .witness import SolutionType, _x_bounds
 
 __all__ = [
-    "KTableRow",
     "k_table",
     "k_table_csv",
     "k_table_json",
@@ -28,14 +26,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class KTableRow:
-    """One table row: a prime and its strictly increasing k offsets."""
-
-    p: int
-    ks: tuple[int, ...]
-
-
 def _records_upto(hi: int) -> tuple[ScanRecord, ...]:
     """The exhaustive scan records of the primes <= hi."""
     if hi < 2:
@@ -43,23 +33,23 @@ def _records_upto(hi: int) -> tuple[ScanRecord, ...]:
     return scan_primes(2, hi, mode="exhaustive").records
 
 
-def k_table(hi: int, type: SolutionType) -> list[KTableRow]:
-    """One row per prime <= hi with that type's sorted distinct k set."""
+def k_table(hi: int, type: SolutionType) -> list[tuple[int, tuple[int, ...]]]:
+    """One (p, ks) row per prime p <= hi: that type's k offsets, ascending, distinct."""
     return [
-        KTableRow(r.p, r.type1_k_set if type is SolutionType.TYPE_I else r.type2_k_set)
+        (r.p, r.type1_k_set if type is SolutionType.TYPE_I else r.type2_k_set)
         for r in _records_upto(hi)
     ]
 
 
-def k_table_csv(rows: list[KTableRow]) -> str:
+def k_table_csv(rows: list[tuple[int, tuple[int, ...]]]) -> str:
     """Ragged CSV, one line per prime: p,k1,k2,... (no header)."""
-    lines = [",".join([str(r.p), *map(str, r.ks)]) for r in rows]
+    lines = [",".join([str(p), *map(str, ks)]) for p, ks in rows]
     return "\n".join(lines) + "\n"
 
 
-def k_table_json(rows: list[KTableRow]) -> str:
+def k_table_json(rows: list[tuple[int, tuple[int, ...]]]) -> str:
     """Compact JSON object {"p": [k, ...], ...}, primes ascending."""
-    return json.dumps({str(r.p): list(r.ks) for r in rows}, separators=(",", ":"))
+    return json.dumps({str(p): list(ks) for p, ks in rows}, separators=(",", ":"))
 
 
 def figure_points(hi: int) -> list[tuple[int, int]]:

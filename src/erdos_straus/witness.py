@@ -31,7 +31,6 @@ __all__ = [
     "check_type1",
     "check_type2",
     "iter_witnesses",
-    "enumerate_witnesses",
     "first_witness",
     "build_solution",
     "verify_identity",
@@ -62,10 +61,6 @@ class Witness:
     def k(self) -> int:
         """Offset of x above the smallest admissible value ceil(p/4)."""
         return self.x - _x_bounds(self.p)[0]
-
-    @property
-    def modulus(self) -> int:
-        return 4 * self.x - self.p
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,11 +173,6 @@ def iter_witnesses(p: int) -> Iterator[Witness]:
     """
     _require_prime(p)
     return _witnesses_x_major((p,))
-
-
-def enumerate_witnesses(p: int) -> list[Witness]:
-    """Exhaustive witness list for p, in the deterministic order."""
-    return list(iter_witnesses(p))
 
 
 def first_witness(p: int) -> Optional[Witness]:

@@ -20,8 +20,8 @@ from erdos_straus import (
     SolutionType,
     check_divisor_k_rule,
     check_k0_type1_rule,
-    check_correspondence,
-    enumerate_witnesses,
+    check_correspondences,
+    iter_witnesses,
     k_table,
     primes_in_range,
     solve_bruteforce,
@@ -68,7 +68,7 @@ def compare_table(
     rows = k_table(100, stype)
     elapsed = time.perf_counter() - start
     mismatches = []
-    computed = {r.p: r.ks for r in rows}
+    computed = dict(rows)
     if set(computed) != set(fixture):
         mismatches.append(f"prime sets differ: {sorted(set(computed) ^ set(fixture))}")
     for p in sorted(fixture):
@@ -136,7 +136,7 @@ def test_acceptance_witness_oracle_one_to_one_below_2000():
     start = time.perf_counter()
     problems = []
     for p in primes_in_range(2, 1999):
-        problems.extend(check_correspondence(p))
+        problems.extend(check_correspondences((p,)))
     elapsed = time.perf_counter() - start
     ok = not problems and elapsed < 60.0
     verdict(
@@ -236,9 +236,9 @@ def test_acceptance_scan_bytes_identical_across_worker_counts(tmp_path):
 
 def test_acceptance_spot_negatives_p2_and_p73():
     p2_type1 = [
-        w for w in enumerate_witnesses(2) if w.type is SolutionType.TYPE_I
+        w for w in iter_witnesses(2) if w.type is SolutionType.TYPE_I
     ]
-    p73_at_19 = [w for w in enumerate_witnesses(73) if w.x == 19]
+    p73_at_19 = [w for w in iter_witnesses(73) if w.x == 19]
     oracle_73_at_19 = [t for t in solve_bruteforce(73) if t[0] == 19]
     ok = not p2_type1 and not p73_at_19 and not oracle_73_at_19
     verdict(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import erdos_straus.arith as arith
 from erdos_straus import (
     DomainError,
-    Factorization,
     divisors,
     divisors_of_square,
     factorize,
@@ -221,12 +220,12 @@ class TestPrimesInRange:
 
 class TestFactorize:
     def test_unit(self):
-        assert factorize(1) == Factorization(1, ())
+        assert factorize(1) == []
 
     def test_spot_values(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
-        assert factorize(361).factors == ((19, 2),)
-        assert list(factorize(360)) == [(2, 3), (3, 2), (5, 1)]
+        assert factorize(12) == [(2, 2), (3, 1)]
+        assert factorize(361) == [(19, 2)]
+        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -235,10 +234,9 @@ class TestFactorize:
     def test_largest_prime_pair_below_the_bound(self):
         # 65521 is the last trial divisor; the cofactor 65537 is prime
         # without a primality test because n < 65537**2.
-        f = factorize(65_521 * 65_537)
-        assert f.factors == ((65_521, 1), (65_537, 1))
-        assert factorize(65_521**2).factors == ((65_521, 2),)
-        assert factorize(65_537**2 - 1).factors == ((2, 17), (3, 2), (11, 1), (331, 1))
+        assert factorize(65_521 * 65_537) == [(65_521, 1), (65_537, 1)]
+        assert factorize(65_521**2) == [(65_521, 2)]
+        assert factorize(65_537**2 - 1) == [(2, 17), (3, 2), (11, 1), (331, 1)]
 
     def test_square_of_65537_rejected(self):
         with pytest.raises(DomainError):
@@ -251,11 +249,9 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=1_000_000))
     @settings(max_examples=300)
     def test_reassembles_and_certifies(self, n):
-        f = factorize(n)
-        assert f.n == n
         prod = 1
         last = 0
-        for prime, exp in f.factors:
+        for prime, exp in factorize(n):
             assert prime > last, "primes must strictly increase"
             assert exp >= 1
             assert is_prime(prime)
@@ -267,7 +263,7 @@ class TestFactorize:
     @settings(max_examples=200)
     def test_primality_iff_single_unit_exponent(self, n):
         f = factorize(n)
-        assert is_prime(n) == (len(f.factors) == 1 and f.factors[0][1] == 1)
+        assert is_prime(n) == (len(f) == 1 and f[0][1] == 1)
 
 
 class TestDivisors:

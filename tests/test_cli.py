@@ -62,6 +62,14 @@ class TestSolve:
         assert main(["solve", "100001"]) == 2
         capsys.readouterr()
 
+    def test_cap_option(self, capsys):
+        assert main(["solve", "150", "--cap", "149"]) == 2
+        assert capsys.readouterr().err == "error: n=150 exceeds the cap 149\n"
+        assert main(["solve", "150", "--json"]) == 0
+        default = capsys.readouterr().out
+        assert main(["solve", "150", "--cap", "150", "--json"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestScan:
     def test_writes_records_and_summary(self, tmp_path, capsys):

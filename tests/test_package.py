@@ -12,6 +12,57 @@ from erdos_straus import arith, errors, oracle, recover, report, scan, witness
 
 MODULES = (arith, errors, oracle, recover, report, scan, witness)
 
+# The whole public surface, sorted: a name that appears or vanishes fails here.
+PUBLIC_NAMES = [
+    "ConsistencyError",
+    "CorrespondenceError",
+    "DEFAULT_CAP",
+    "DomainError",
+    "ErdosStrausError",
+    "HARD_RESIDUES_840",
+    "InvalidSolutionError",
+    "ResourceLimitError",
+    "ScanRecord",
+    "ScanReport",
+    "ScanStream",
+    "Solution",
+    "SolutionType",
+    "Witness",
+    "__version__",
+    "build_solution",
+    "check_correspondences",
+    "check_divisor_k_rule",
+    "check_k0_type1_rule",
+    "check_type1",
+    "check_type2",
+    "classify_solution",
+    "divisors",
+    "divisors_of_square",
+    "factorize",
+    "figure_points",
+    "first_witness",
+    "is_prime",
+    "iter_witnesses",
+    "k_table",
+    "k_table_csv",
+    "k_table_json",
+    "points_csv",
+    "primes_in_range",
+    "record_line",
+    "recover_witness",
+    "render_scatter",
+    "residue_stats",
+    "scan_primes",
+    "solve_bruteforce",
+    "summary_line",
+    "verify_identity",
+    "x_range",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(erdos_straus.__all__) == PUBLIC_NAMES
+
 
 def test_all_is_version_plus_every_module_all_without_repeats():
     names = erdos_straus.__all__

@@ -14,10 +14,9 @@ from erdos_straus import (
     SolutionType,
     Witness,
     build_solution,
-    check_correspondence,
     check_correspondences,
     classify_solution,
-    enumerate_witnesses,
+    iter_witnesses,
     primes_in_range,
     recover_witness,
     solve_bruteforce,
@@ -90,14 +89,14 @@ class TestRoundTrips:
     @given(st.sampled_from(PRIMES_TO_300))
     @settings(max_examples=50, deadline=None)
     def test_forward_round_trip_is_identity(self, p):
-        for w in enumerate_witnesses(p):
+        for w in iter_witnesses(p):
             s = build_solution(w)
             assert recover_witness(s.p, s.x, s.y) == w
 
     def test_forward_round_trip_distinguishes_double_hits(self):
         # (x, d) pairs satisfying both congruences must round-trip per type.
         p = 3
-        ws = enumerate_witnesses(p)
+        ws = list(iter_witnesses(p))
         assert {w.type for w in ws if (w.x, w.d) == (1, 1)} == {
             SolutionType.TYPE_I,
             SolutionType.TYPE_II,
@@ -177,11 +176,11 @@ class TestUnreachableRaises:
 class TestCorrespondence:
     def test_clean_for_sample_primes(self):
         for p in (2, 3, 5, 41, 73, 97, 113, 193):
-            assert check_correspondence(p) == []
+            assert check_correspondences((p,)) == []
 
     def test_clean_below_300(self):
         for p in PRIMES_TO_300:
-            assert check_correspondence(p) == [], p
+            assert check_correspondences((p,)) == [], p
 
 
 class TestCorrespondenceInput:
@@ -203,7 +202,7 @@ class TestCorrespondenceInput:
 
 
 def _patch_oracle(monkeypatch, edit, only=None):
-    """Make check_correspondence(s) see edit(true oracle triples) for
+    """Make check_correspondences see edit(true oracle triples) for
     every prime, or for the prime only alone."""
     true_oracle = recover_module._solutions_x_major
 
@@ -218,18 +217,18 @@ class TestCorrespondenceViolations:
     def test_dropped_solution(self, monkeypatch):
         _patch_oracle(monkeypatch, lambda ts: ts[1:])
         dropped = solve_bruteforce(41)[0]
-        problems = check_correspondence(41)
+        problems = check_correspondences((41,))
         assert any(str(dropped) in line for line in problems), problems
 
     def test_duplicated_solution(self, monkeypatch):
         _patch_oracle(monkeypatch, lambda ts: ts + ts[:1])
-        problems = check_correspondence(41)
+        problems = check_correspondences((41,))
         assert problems
         assert all(line.startswith("p=41: ") for line in problems), problems
 
     def test_non_solution(self, monkeypatch):
         _patch_oracle(monkeypatch, lambda ts: ts + [(11, 50, 60)])
-        problems = check_correspondence(41)
+        problems = check_correspondences((41,))
         assert len(problems) == 1
         assert "backward recovery failed for (11, 50, 60)" in problems[0]
 
@@ -242,7 +241,7 @@ class TestCorrespondenceViolations:
 
 class TestCorrespondenceOverRange:
     """check_correspondences groups one x-major walk's witnesses by prime;
-    it must say exactly what check_correspondence says prime by prime."""
+    it must say exactly what it says for each prime alone."""
 
     @pytest.mark.parametrize(
         "edit, violated",
@@ -257,7 +256,7 @@ class TestCorrespondenceOverRange:
     def test_equals_per_prime_concatenation(self, monkeypatch, edit, violated):
         _patch_oracle(monkeypatch, edit)
         primes = primes_in_range(2, 300)
-        per_prime = [line for p in primes for line in check_correspondence(p)]
+        per_prime = [line for p in primes for line in check_correspondences((p,))]
         assert check_correspondences(primes) == per_prime
         assert bool(per_prime) == violated
 
@@ -397,7 +396,7 @@ class TestCertifiedOnce:
     def test_one_build_per_witness_and_no_recovery(self, calls):
         assert check_correspondences(PRIMES_TO_300) == []
         assert calls == {"build_solution": 1563}
-        assert sum(len(enumerate_witnesses(p)) for p in PRIMES_TO_300) == 1563
+        assert sum(len(list(iter_witnesses(p))) for p in PRIMES_TO_300) == 1563
 
     def test_one_build_per_unmatched_triple(self, monkeypatch, calls):
         # Each prime's first triple gets a wrong z, so none of the 62 is

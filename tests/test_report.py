@@ -7,7 +7,6 @@ import pytest
 
 from erdos_straus import (
     DomainError,
-    KTableRow,
     SolutionType,
     classify_solution,
     figure_points,
@@ -37,11 +36,11 @@ def k_sets_from_bruteforce(p: int) -> dict[SolutionType, tuple[int, ...]]:
 
 class TestKTable:
     def test_spot_rows(self):
-        rows = {r.p: r.ks for r in k_table(100, SolutionType.TYPE_I)}
+        rows = dict(k_table(100, SolutionType.TYPE_I))
         assert rows[29] == (0, 3)
         assert rows[2] == ()
         assert rows[5] == (0,)
-        rows2 = {r.p: r.ks for r in k_table(100, SolutionType.TYPE_II)}
+        rows2 = dict(k_table(100, SolutionType.TYPE_II))
         assert rows2[59] == (0, 1, 2, 5)
         assert rows2[2] == (0,)
         assert rows2[73] == (1, 2)
@@ -49,13 +48,14 @@ class TestKTable:
     def test_row_shape(self):
         rows = k_table(100, SolutionType.TYPE_I)
         assert len(rows) == 25
-        for r in rows:
-            assert isinstance(r, KTableRow)
-            assert list(r.ks) == sorted(set(r.ks))
+        assert [p for p, _ in rows] == primes_in_range(2, 100)
+        for p, ks in rows:
+            assert isinstance(ks, tuple)
+            assert list(ks) == sorted(set(ks))
 
     def test_whole_table_matches_bruteforce_derivation(self):
-        t1 = {r.p: r.ks for r in k_table(100, SolutionType.TYPE_I)}
-        t2 = {r.p: r.ks for r in k_table(100, SolutionType.TYPE_II)}
+        t1 = dict(k_table(100, SolutionType.TYPE_I))
+        t2 = dict(k_table(100, SolutionType.TYPE_II))
         for p in primes_in_range(2, 100):
             oracle_sets = k_sets_from_bruteforce(p)
             assert t1[p] == oracle_sets[SolutionType.TYPE_I], p
@@ -64,7 +64,7 @@ class TestKTable:
     def test_row_47_pinned_against_bruteforce(self):
         # This row is easy to get wrong by hand: x=17 admits nothing,
         # while k=6 and k=8 do admit type I solutions.
-        rows = {r.p: r.ks for r in k_table(47, SolutionType.TYPE_I)}
+        rows = dict(k_table(47, SolutionType.TYPE_I))
         assert rows[47] == (0, 1, 2, 3, 4, 6, 8, 9, 12)
         assert rows[47] == k_sets_from_bruteforce(47)[SolutionType.TYPE_I]
         assert all(x != 17 for x, _, _ in solve_bruteforce(47))
@@ -94,7 +94,7 @@ class TestSerialization:
         rows = k_table(100, SolutionType.TYPE_II)
         data = json.loads(k_table_json(rows))
         assert data["41"] == [0, 1, 3]
-        assert list(data.keys()) == [str(r.p) for r in rows]
+        assert list(data.keys()) == [str(p) for p, _ in rows]
 
     def test_deterministic(self):
         rows = k_table(50, SolutionType.TYPE_I)

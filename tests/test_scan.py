@@ -20,8 +20,8 @@ from erdos_straus import (
     check_type1,
     divisors,
     divisors_of_square,
-    enumerate_witnesses,
     first_witness,
+    iter_witnesses,
     primes_in_range,
     record_line,
     residue_stats,
@@ -58,7 +58,7 @@ class TestScanExhaustive:
 
     def test_counts_match_enumeration(self, report):
         for r in report.records:
-            ws = enumerate_witnesses(r.p)
+            ws = list(iter_witnesses(r.p))
             n1 = sum(1 for w in ws if w.type is SolutionType.TYPE_I)
             n2 = len(ws) - n1
             assert r.witness_count_by_type == (n1, n2)
@@ -574,11 +574,11 @@ class TestRules:
 
     def test_divisor_rule_offsets_really_appear(self):
         # p=11: ceil(11/4)=3, divisors {1, 3} and 0 all admit type I.
-        ks = {w.k for w in enumerate_witnesses(11) if w.type is SolutionType.TYPE_I}
+        ks = {w.k for w in iter_witnesses(11) if w.type is SolutionType.TYPE_I}
         assert {0, 1, 3} <= ks
         assert set(divisors(3)) == {1, 3}
         # p=19: ceil(19/4)=5, divisors {1, 5}.
-        ks19 = {w.k for w in enumerate_witnesses(19) if w.type is SolutionType.TYPE_I}
+        ks19 = {w.k for w in iter_witnesses(19) if w.type is SolutionType.TYPE_I}
         assert {0, 1, 5} <= ks19
 
     def test_domain_guards(self):
