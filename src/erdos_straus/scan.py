@@ -105,43 +105,26 @@ def _json_ints(values: Optional[tuple[int, ...]]) -> str:
 _TYPE_JSON = {t: f'"{t.value}"' for t in SolutionType}
 
 
-def _first_json(p: int, x: int, d: int, t: SolutionType) -> str:
-    """A first witness (p, x, d, t) as compact, key-sorted JSON.
-
-    k = x - ceil(p/4), with _x_bounds' ceil(p/4) inlined: this runs
-    once per prime of a first-only scan.
-    """
-    return f'{{"d":{d},"k":{x - (p + 3) // 4},"p":{p},"type":{_TYPE_JSON[t]},"x":{x}}}'
-
-
-def _record_json(
-    first: str, p: int, residue_24: int, residue_840: int, k1: str, k2: str, counts: str
-) -> str:
-    """A record as compact, key-sorted JSON, from the JSON text of its fields."""
-    return (
-        f'{{"first":{first},"p":{p},"residue_24":{residue_24},"residue_840":{residue_840},'
-        f'"type1_k_set":{k1},"type2_k_set":{k2},"witness_counts":{counts}}}'
-    )
-
-
 def record_line(r: ScanRecord) -> str:
     """The record as one line of compact, key-sorted JSON, no newline.
 
     The same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":"))
     of the record's JSON object, formatted directly because a scan
-    writes one line per prime. A first-only chunk task formats its
-    lines through the same _first_json and _record_json.
+    writes one line per prime. A first-only chunk task writes the same
+    bytes with one f-string per line (_chunk_pieces); the tests hold
+    the two equal.
     """
     w = r.first
     counts = r.witness_count_by_type
-    return _record_json(
-        "null" if w is None else _first_json(w.p, w.x, w.d, w.type),
-        r.p,
-        r.residue_24,
-        r.residue_840,
-        _json_ints(r.type1_k_set),
-        _json_ints(r.type2_k_set),
-        "null" if counts is None else f'{{"type1":{counts[0]},"type2":{counts[1]}}}',
+    first = (
+        "null" if w is None
+        else f'{{"d":{w.d},"k":{w.k},"p":{w.p},"type":{_TYPE_JSON[w.type]},"x":{w.x}}}'
+    )
+    counts_json = "null" if counts is None else f'{{"type1":{counts[0]},"type2":{counts[1]}}}'
+    return (
+        f'{{"first":{first},"p":{r.p},"residue_24":{r.residue_24},"residue_840":{r.residue_840},'
+        f'"type1_k_set":{_json_ints(r.type1_k_set)},"type2_k_set":{_json_ints(r.type2_k_set)},'
+        f'"witness_counts":{counts_json}}}'
     )
 
 
@@ -295,8 +278,14 @@ def _chunk_pieces(task: tuple[int, int, str], tally: _Tally, missing: list[int])
             hit = _first_witness_unchecked(p)
             if hit is None:
                 missing.append(p)
-            first = "null" if hit is None else _first_json(p, *hit)
-            lines.append(_record_json(first, p, p % 24, p % 840, "null", "null", "null"))
+                lines.append(record_line(ScanRecord(p, None, None, None, None, p % 24, p % 840)))
+                continue
+            x, d, t = hit
+            lines.append(
+                f'{{"first":{{"d":{d},"k":{x - (p + 3) // 4},"p":{p},"type":{_TYPE_JSON[t]},'
+                f'"x":{x}}},"p":{p},"residue_24":{p % 24},"residue_840":{p % 840},'
+                '"type1_k_set":null,"type2_k_set":null,"witness_counts":null}'
+            )
         yield "\n".join(lines) + "\n"
 
 

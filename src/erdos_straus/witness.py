@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .arith import divisors_of_square, is_prime
+from .arith import divisors_of_square, factorize, is_prime
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -80,15 +80,33 @@ def _require_prime(p: int) -> None:
 
 
 # Divisors d <= _PROBE_LIMIT of x*x are found by trial division before
-# x is factored. The first-witness search probes only for the primes its
-# k = 0 fast path misses, p % 24 == 1 (see _first_witness_unchecked).
-# Of those, 4,643 of 5,137 on 2..499999 and 6,384 of 7,766 on
+# x is factored. The first-witness search probes only for the primes
+# p % 24 == 1, at k = 0 by the primes of _K0_PRIMES and past k = 0 by
+# every d <= _PROBE_LIMIT (see _first_witness_unchecked). Past k = 0,
+# 2,253 of the 2,475 such primes on 2..499999 and 2,749 of 3,216 on
 # 9*10**6..10**7 have a first d <= 64. Timed on these primes alone
-# (2 CPUs, best of 3): limits 32 and 64 tie, 8 and 128 are slower, and
-# walking every divisor of x*x instead took 0.08-0.10 s against
-# 0.05-0.07 s on 2..499999 and 0.21-0.23 s against 0.11-0.14 s on
-# 9*10**6..10**7.
+# (2 CPUs, best of 3), before the k = 0 rule: limits 32 and 64 tie, 8
+# and 128 are slower, and walking every divisor of x*x instead took
+# 0.08-0.10 s against 0.05-0.07 s on 2..499999 and 0.21-0.23 s against
+# 0.11-0.14 s on 9*10**6..10**7.
 _PROBE_LIMIT = 64
+
+# The (d, type) of the first witness at x = ceil(p/4) for every class
+# p % 24 of a prime but 1, and the odd primes = 2 (mod 3) below
+# _PROBE_LIMIT, which settle most k = 0 answers of p % 24 == 1 without
+# factoring x. The proofs are at _first_witness_unchecked.
+_K0_TABLE = {
+    2: (1, SolutionType.TYPE_II),
+    3: (1, SolutionType.TYPE_I),
+    5: (1, SolutionType.TYPE_II),
+    7: (1, SolutionType.TYPE_I),
+    11: (1, SolutionType.TYPE_I),
+    13: (2, SolutionType.TYPE_I),
+    17: (1, SolutionType.TYPE_II),
+    19: (1, SolutionType.TYPE_I),
+    23: (1, SolutionType.TYPE_I),
+}
+_K0_PRIMES = tuple(ell for ell in range(5, _PROBE_LIMIT, 3) if is_prime(ell))
 
 
 def _ascending_square_divisors(x: int) -> Iterator[int]:
@@ -178,11 +196,14 @@ def iter_witnesses(p: int) -> Iterator[Witness]:
 def first_witness(p: int) -> Optional[Witness]:
     """First witness in iter_witnesses order, or None.
 
-    d = 1 and 2 at x = ceil(p/4) are tried first, which settles every
-    p % 24 != 1 (proof at _first_witness_unchecked). Otherwise each x's
-    divisors are walked through _ascending_square_divisors, so x is
-    factored only when no small divisor is a witness at that x; an x at
-    or past 65537**2 that needs factoring raises DomainError.
+    Every p % 24 != 1 is answered at x = ceil(p/4) from a table, and
+    every p % 24 == 1 first by the k = 0 rule, which needs the least
+    prime factor = 2 (mod 3) of x = ceil(p/4): x is trial-divided by
+    the primes below _PROBE_LIMIT and factored only if none divides
+    (proofs at _first_witness_unchecked). Past k = 0 each x's divisors
+    are walked through _ascending_square_divisors, so x is factored only
+    when no small divisor is a witness at that x. An x at or past
+    65537**2 that needs factoring raises DomainError.
     """
     _require_prime(p)
     hit = _first_witness_unchecked(p)
@@ -196,36 +217,45 @@ def _first_witness_unchecked(p: int) -> Optional[tuple[int, int, SolutionType]]:
     on a composite p the result means nothing. A plain tuple, so a
     first-only scan formats its record line without building a Witness.
 
-    Before the walk, x = ceil(p/4) is tried with d = 1 by both of the
-    walk's congruences and, for even x, with d = 2 by type I, in the
-    walk's order. 1 and 2 are the two smallest divisors of x*x, so a
-    hit is the walk's answer, and a miss leaves every test to the walk.
-    The proof that this settles every prime p % 24 != 1, with q = 4x - p:
+    Every answer at x = ceil(p/4) is the walk's: a witness at the least
+    x with the least d, type I before type II at equal d. With
+    q = 4x - p:
 
     - p = 2: x = 1 and q = 2; type I fails (3 is odd), (1, 1, II) holds.
     - p % 4 == 3: q = 1, so (x, 1, I) holds.
     - Otherwise q = 3, so x = (p + 3)/4, which p % 24 fixes mod 6, and
       x = 4x = p (mod 3). So 3 divides no d | x*x and x*x = 1 (mod 3).
       Type I holds at (x, d) iff p*x + d = x*x + d = 1 + d = 0, i.e.
-      d = 2 (mod 3), and type II holds at (x, 1) iff x + 1 = 0
-      (mod 3). So d = 1 fails type I.
+      d = 2 (mod 3), and type II holds at (x, d) iff d <= x and
+      x + d = 0 (mod 3). So d = 1 fails type I.
       - p % 24 in {5, 17}: x = 2 (mod 3), and (x, 1, II) holds.
       - p % 24 == 13: x = 1 (mod 3), so d = 1 fails type II; x is
-        even, and (x, 2, I) holds. No other class gets to d = 2, so
-        type II is never tested there before the walk.
-      - p % 24 == 1: x = 1 (mod 3) and x is odd, so d = 1 fails both
-        and 2 does not divide x*x: these primes, and only these, go on
-        to the walk, which starts again at x = ceil(p/4).
+        even, and (x, 2, I) holds.
+      - p % 24 == 1: x = 1 (mod 3) and x is odd. Both types need
+        d = 2 (mod 3), and type I comes first at equal d. A d | x*x
+        with d = 2 (mod 3) has a prime factor ell = 2 (mod 3), since a
+        product of primes = 1 (mod 3) is 1 (mod 3); ell divides x and
+        ell <= d, and ell is itself such a d. So there is a witness at
+        k = 0 iff x has a prime factor = 2 (mod 3), and the first is
+        (x, least such ell, I). Otherwise the walk goes on from x + 1.
+
+    _K0_TABLE holds the (d, type) of the first three cases. For
+    p % 24 == 1, ell is odd: the primes of _K0_PRIMES are tried first,
+    and x is factored only if none divides it, which finds ell or
+    proves there is none.
     """
-    lo, hi = _x_bounds(p)
-    q = 4 * lo - p
-    if (p * lo + 1) % q == 0:
-        return lo, 1, SolutionType.TYPE_I
-    if (lo + 1) % q == 0:
-        return lo, 1, SolutionType.TYPE_II
-    if lo % 2 == 0 and (p * lo + 2) % q == 0:
-        return lo, 2, SolutionType.TYPE_I
-    for x in range(lo, hi + 1):
+    hit = _K0_TABLE.get(p % 24)
+    if hit is not None:
+        d, t = hit
+        return (p + 3) // 4, d, t
+    x = (p + 3) // 4
+    for ell in _K0_PRIMES:
+        if x % ell == 0:
+            return x, ell, SolutionType.TYPE_I
+    for ell, _ in factorize(x):
+        if ell % 3 == 2:
+            return x, ell, SolutionType.TYPE_I
+    for x in range(x + 1, (p + 1) // 2 + 1):
         q = 4 * x - p
         t1 = (-p * x) % q
         t2 = (-x) % q

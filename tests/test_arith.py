@@ -45,6 +45,24 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def factorize_by_trial(n: int) -> list[tuple[int, int]]:
+    """The (p, e) pairs of n, dividing by 2 and every odd number up to the
+    square root of what is left: no table and no primality test."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
 def divisors_by_trial(m: int) -> list[int]:
     found = set()
     for d in range(1, math.isqrt(m) + 1):
@@ -245,6 +263,24 @@ class TestFactorize:
             divisors(65_537**2)
         with pytest.raises(DomainError):
             divisors_of_square(65_537**2)
+
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            # the x = ceil(p/4) of the top scan window's primes p % 24 == 1,
+            # the one class whose search factors x
+            [(p + 3) // 4 for p in primes_in_range(2**32 - 10**5, 2**32) if p % 24 == 1],
+            range(65_537**2 - 300, 65_537**2),
+            range(arith._PRIME_CHECK_FROM - 100, arith._PRIME_CHECK_FROM + 100),
+            # cofactors past the check, composite and prime, after the primes below 100
+            [101 * 65_521, 97 * 101 * 10_007, 65_519 * 65_521, 1_009 * 1_048_583, 2**11 * 1_048_583],
+        ],
+    )
+    def test_matches_plain_trial_division(self, ns):
+        # A cofactor above _PRIME_CHECK_FROM that is prime after the primes
+        # below 100 ends the trial division; the answer must not change.
+        for n in ns:
+            assert factorize(n) == factorize_by_trial(n), n
 
     @given(st.integers(min_value=1, max_value=1_000_000))
     @settings(max_examples=300)

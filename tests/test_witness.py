@@ -14,6 +14,7 @@ from erdos_straus import (
     check_type1,
     check_type2,
     divisors_of_square,
+    factorize,
     first_witness,
     iter_witnesses,
     primes_in_range,
@@ -163,10 +164,30 @@ class TestFirstWitness:
 
     @pytest.mark.parametrize("lo, hi", [(2, 10**6), (2**32 - 10**5, 2**32)])
     def test_search_core_equals_the_full_divisor_walk(self, lo, hi):
-        # The core tries d in {1, 2} at ceil(p/4), then probes small
-        # divisors before factoring x; the reference does neither.
+        # The core answers k = 0 from the p % 24 table and the k = 0 rule,
+        # then probes small divisors before factoring x; the reference
+        # does neither.
         for p in primes_in_range(lo, hi):
             assert witness_module._first_witness_unchecked(p) == _full_walk_first(p), p
+
+    @pytest.mark.parametrize("lo, hi", [(2, 10**6), (2**32 - 10**5, 2**32)])
+    def test_k0_rule_for_p_1_mod_24(self, lo, hi):
+        # The rule _first_witness_unchecked answers k = 0 by: at x = ceil(p/4)
+        # q = 3, so a witness at k = 0 exists iff x has a prime factor
+        # = 2 (mod 3), and the first is then (x, least such factor, I).
+        seen = set()
+        for p in primes_in_range(lo, hi):
+            if p % 24 != 1:
+                continue
+            x = (p + 3) // 4
+            ells = [ell for ell, _ in factorize(x) if ell % 3 == 2]
+            walk = _full_walk_first(p)
+            assert (walk[0] == x) == bool(ells), p
+            if ells:
+                assert walk == (x, ells[0], SolutionType.TYPE_I), p
+            seen.add((bool(ells), bool(ells) and ells[0] > witness_module._PROBE_LIMIT))
+        # k = 0 and k > 0 both occur, and some k = 0 answers need x factored
+        assert seen == {(False, False), (True, False), (True, True)}
 
     def test_fast_path_residue_table(self):
         # The proof in _first_witness_unchecked's docstring: the answer
@@ -183,7 +204,8 @@ class TestFirstWitness:
                 assert (d, t) == table[p % 24], p
 
     def test_none_when_no_divisor_is_a_witness(self, monkeypatch):
-        # 73 % 24 == 1 goes past the fast path into the walk, which finds nothing.
+        # 73 % 24 == 1 and x = 19 has no prime factor = 2 (mod 3), so the
+        # search goes past k = 0 into the walk, which finds nothing.
         monkeypatch.setattr(witness_module, "_ascending_square_divisors", lambda x: iter(()))
         assert first_witness(73) is None
 
