@@ -199,7 +199,7 @@ def first_witness(p: int) -> Optional[Witness]:
     Every p % 24 != 1 is answered at x = ceil(p/4) from a table, and
     every p % 24 == 1 first by the k = 0 rule, which needs the least
     prime factor = 2 (mod 3) of x = ceil(p/4): x is trial-divided by
-    the primes below _PROBE_LIMIT and factored only if none divides
+    such primes below _PROBE_LIMIT and factored only if none divides
     (proofs at _first_witness_unchecked). Past k = 0 each x's divisors
     are walked through _ascending_square_divisors, so x is factored only
     when no small divisor is a witness at that x. An x at or past
@@ -239,10 +239,10 @@ def _first_witness_unchecked(p: int) -> Optional[tuple[int, int, SolutionType]]:
         k = 0 iff x has a prime factor = 2 (mod 3), and the first is
         (x, least such ell, I). Otherwise the walk goes on from x + 1.
 
-    _K0_TABLE holds the (d, type) of the first three cases. For
-    p % 24 == 1, ell is odd: the primes of _K0_PRIMES are tried first,
-    and x is factored only if none divides it, which finds ell or
-    proves there is none.
+    _K0_TABLE holds the (d, type) of every case but p % 24 == 1. There
+    ell is odd: the primes of _K0_PRIMES are tried first, and x is
+    factored only if none divides it, which finds ell or proves there
+    is none.
     """
     hit = _K0_TABLE.get(p % 24)
     if hit is not None:
