@@ -14,9 +14,9 @@ process in pieces of _PIECE_LINES lines), so output is identical for
 any worker count. scan_primes runs [lo, hi] as one task in process:
 the unchunked reference the stream must equal.
 
-Also checks two structural rules for the k = 0 and divisor-k offsets,
-each visit against a closed-form type I witness, tested in one pass
-per sieve chunk, before any divisor walk, and computes residue-class
+Also checks the k = 0 and divisor-k structural rules through one
+driver, each visit against a closed-form type I witness tested in one
+pass per sieve chunk before any divisor walk, and computes residue-class
 statistics including the six classes mod 840 = {1, 121, 169, 289,
 361, 529} that the known polynomial identities do not cover.
 """
@@ -30,7 +30,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .arith import divisors_of_square, primes_in_range
 from .errors import DomainError
@@ -377,8 +377,8 @@ class ScanStream:
 
 def _has_type1_witness_at(p: int, x: int) -> bool:
     """True iff some divisor d of x*x has d = -p*x (mod 4x - p), by a walk
-    over the divisors of x*x. The rules call it only for a visit whose
-    closed-form d has failed."""
+    over the divisors of x*x. _rule_violations calls it only for a
+    visit whose closed-form d has failed."""
     q = 4 * x - p
     target = (-p * x) % q
     return any(d % q == target for d in divisors_of_square(x))
@@ -391,18 +391,29 @@ def _check_rule_hi(hi: int) -> None:
     _check_cap(hi)
 
 
-def _k0_misses(primes: list[int]) -> list[tuple[int, int]]:
-    """The visits (p, x) of the primes p % 24 != 1 whose closed-form
-    type I witness d fails at x = ceil(p/4): d does not divide x*x, or
-    p*x + d is not 0 mod q = 4x - p. One pass over a chunk's primes.
-
-    d follows the proof at witness._first_witness_unchecked: 1 for
-    p % 4 == 3 (q = 1); otherwise q = 3 and any d = 2 (mod 3) works: 2
-    for even x, and x for odd x (p % 24 == 17, where x = 2 (mod 3)).
+def _rule_violations(hi: int, misses: Callable[[int, int], list]) -> list:
+    """The key of each visit of a structural rule up to hi with no type I
+    witness at its x. misses(lo, hi) lists, sorted by key, the visits
+    (key, p, x) of the primes in one chunk [lo, hi] whose closed-form d
+    fails, each tested inline in one pass; the chunks of [3, hi] span
+    at most _SPAN numbers, and only a miss walks the divisors of x*x.
     """
+    _check_rule_hi(hi)
+    return [
+        key
+        for a, b in _chunk_bounds(3, hi, 1)
+        for key, p, x in misses(a, b)
+        if not _has_type1_witness_at(p, x)
+    ]
+
+
+def _k0_misses(primes: list[int]) -> list[tuple[int, int, int]]:
+    """The visits (p, p, x) of the primes p % 24 != 1 whose d of
+    check_k0_type1_rule fails at x = ceil(p/4): d does not divide x*x,
+    or p*x + d is not 0 mod q = 4x - p."""
     # x and d are at least 1, so binding them never ends the test
     return [
-        (p, x)
+        (p, p, x)
         for p in primes
         if p % 24 != 1
         and (x := (p + 3) // 4)
@@ -413,18 +424,13 @@ def _k0_misses(primes: list[int]) -> list[tuple[int, int]]:
 
 def check_k0_type1_rule(hi: int) -> list[int]:
     """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
-    the smallest x. Expected empty.
+    the smallest x = ceil(p/4). Expected empty.
 
-    The primes are sieved at most _SPAN numbers at a time, and only a
-    visit whose closed form fails (_k0_misses) walks the divisors of x*x.
+    The proof, also at witness._first_witness_unchecked: d = 1 for
+    p % 4 == 3 (q = 1); otherwise q = 3 and any d = 2 (mod 3) works: 2
+    for even x, and x for odd x (p % 24 == 17, where x = 2 (mod 3)).
     """
-    _check_rule_hi(hi)
-    return [
-        p
-        for a, b in _chunk_bounds(3, hi, 1)
-        for p, x in _k0_misses(primes_in_range(a, b))
-        if not _has_type1_witness_at(p, x)
-    ]
+    return _rule_violations(hi, lambda a, b: _k0_misses(primes_in_range(a, b)))
 
 
 def _divisor_k_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -452,14 +458,13 @@ def _divisor_k_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
                 yield m, m // t
 
 
-def _divisor_k_misses(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """The visits (p, k, x) of the primes p = 4m - 1 in [lo, hi] and
-    each k | m whose closed-form type I witness d = x*x/k fails at
-    x = m + k: d does not divide x*x, or p*x + d is not 0 mod q = 4x - p.
-    Sorted by (p, k)."""
+def _divisor_k_misses(lo: int, hi: int) -> list[tuple[tuple[int, int], int, int]]:
+    """The visits ((p, k), p, x) of the primes p = 4m - 1 in [lo, hi] and
+    each k | m whose d = x*x/k of check_divisor_k_rule fails at
+    x = m + k: d does not divide x*x, or p*x + d is not 0 mod q = 4x - p."""
     # p, x and d are at least 1, so binding them never ends the test
     return sorted(
-        (p, k, x)
+        ((p, k), p, x)
         for m, k in _divisor_k_pairs(lo, hi)
         if (p := 4 * m - 1)
         and (x := m + k)
@@ -473,19 +478,10 @@ def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
     and no type I witness at x = m + k. Expected empty.
 
     Every such k lies in the k range, whose top is ceil(p/2) - m = m.
-    d = x*x/k: q = 4k + 1, so 4k = -1 and p = 4x (mod q), and
-    -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.
-    The primes are sieved at most _SPAN numbers at a time, and only a
-    visit whose closed form fails (_divisor_k_misses) walks the divisors
-    of x*x.
+    The proof: d = x*x/k, q = 4k + 1, so 4k = -1 and p = 4x (mod q),
+    and -p*x = -4x*x = -4k*(x*x/k) = x*x/k (mod q); k | x since x = m + k.
     """
-    _check_rule_hi(hi)
-    return [
-        (p, k)
-        for a, b in _chunk_bounds(3, hi, 1)
-        for p, k, x in _divisor_k_misses(a, b)
-        if not _has_type1_witness_at(p, x)
-    ]
+    return _rule_violations(hi, _divisor_k_misses)
 
 
 def residue_stats(report: ScanReport, modulus: int) -> dict[int, dict[str, Any]]:

@@ -80,15 +80,15 @@ def _require_prime(p: int) -> None:
 
 
 # Divisors d <= _PROBE_LIMIT of x*x are found by trial division before
-# x is factored. The first-witness search probes only for the primes
-# p % 24 == 1, at k = 0 by the primes of _K0_PRIMES and past k = 0 by
-# every d <= _PROBE_LIMIT (see _first_witness_unchecked). Past k = 0,
-# 2,253 of the 2,475 such primes on 2..499999 and 2,749 of 3,216 on
-# 9*10**6..10**7 have a first d <= 64. Timed on these primes alone
-# (2 CPUs, best of 3), before the k = 0 rule: limits 32 and 64 tie, 8
-# and 128 are slower, and walking every divisor of x*x instead took
-# 0.08-0.10 s against 0.05-0.07 s on 2..499999 and 0.21-0.23 s against
-# 0.11-0.14 s on 9*10**6..10**7.
+# x is factored. The first-witness search probes only past k = 0, for
+# the primes p % 24 == 1 with no k = 0 witness (see
+# _first_witness_unchecked). 2,253 of the 2,475 such primes on
+# 2..499999 and 2,749 of 3,216 on 9*10**6..10**7 have a first d <= 64,
+# and _ascending_square_divisors yields 37,469 divisors for those of
+# 2..499999. Timed on these primes alone, in process (2 CPUs, best of
+# 7, _K0_PRIMES left at the primes below 64): limits 32, 64 and 128
+# tie within noise at 28-31 ms and 58-61 ms, and walking every divisor
+# of x*x instead (limit 0) took 56 and 121 ms.
 _PROBE_LIMIT = 64
 
 # The (d, type) of the first witness at x = ceil(p/4) for every class

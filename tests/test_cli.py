@@ -15,6 +15,7 @@ import pytest
 import erdos_straus.cli as cli
 import erdos_straus.scan as scan_module
 from erdos_straus import (
+    ConsistencyError,
     CorrespondenceError,
     SolutionType,
     k_table,
@@ -24,6 +25,7 @@ from erdos_straus import (
     scan_primes,
 )
 from erdos_straus.cli import main
+from test_scan import patch_every_visit_misses
 
 
 class TestCheck:
@@ -353,18 +355,69 @@ class TestCompare:
 class TestProperties:
     def test_clean(self, capsys):
         assert main(["properties", "300"]) == 0
-        out = capsys.readouterr().out
-        assert "0 violation(s)" in out
+        assert capsys.readouterr().out == (
+            "k=0 type I rule up to 300: 0 violation(s)\n"
+            "divisor-k rule up to 300: 0 violation(s)\n"
+        )
 
     def test_split_bounds_json(self, capsys):
         assert main(["properties", "500", "--divisor-hi", "100", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data == {
-            "k0_rule_hi": 500,
-            "k0_violations": [],
-            "divisor_rule_hi": 100,
-            "divisor_violations": [],
-        }
+        assert capsys.readouterr().out == (
+            '{"divisor_rule_hi":100,"divisor_violations":[],"k0_rule_hi":500,"k0_violations":[]}\n'
+        )
+
+    # Every closed form fails and no divisor walk rescues a visit, so each
+    # rule lists every visit: the k = 0 rule the primes 3..59 (none is 1
+    # mod 24), the divisor-k rule each k | m of p = 4m - 1 <= 40.
+    VIOLATION_TEXT = (
+        "k=0 type I rule up to 60: 16 violation(s)\n"
+        "  VIOLATION p=3\n"
+        "  VIOLATION p=5\n"
+        "  VIOLATION p=7\n"
+        "  VIOLATION p=11\n"
+        "  VIOLATION p=13\n"
+        "  VIOLATION p=17\n"
+        "  VIOLATION p=19\n"
+        "  VIOLATION p=23\n"
+        "  VIOLATION p=29\n"
+        "  VIOLATION p=31\n"
+        "  VIOLATION p=37\n"
+        "  VIOLATION p=41\n"
+        "  VIOLATION p=43\n"
+        "  VIOLATION p=47\n"
+        "  VIOLATION p=53\n"
+        "  VIOLATION p=59\n"
+        "divisor-k rule up to 40: 15 violation(s)\n"
+        "  VIOLATION p=3 k=1\n"
+        "  VIOLATION p=7 k=1\n"
+        "  VIOLATION p=7 k=2\n"
+        "  VIOLATION p=11 k=1\n"
+        "  VIOLATION p=11 k=3\n"
+        "  VIOLATION p=19 k=1\n"
+        "  VIOLATION p=19 k=5\n"
+        "  VIOLATION p=23 k=1\n"
+        "  VIOLATION p=23 k=2\n"
+        "  VIOLATION p=23 k=3\n"
+        "  VIOLATION p=23 k=6\n"
+        "  VIOLATION p=31 k=1\n"
+        "  VIOLATION p=31 k=2\n"
+        "  VIOLATION p=31 k=4\n"
+        "  VIOLATION p=31 k=8\n"
+    )
+    VIOLATION_JSON = (
+        '{"divisor_rule_hi":40,"divisor_violations":[[3,1],[7,1],[7,2],[11,1],[11,3],'
+        '[19,1],[19,5],[23,1],[23,2],[23,3],[23,6],[31,1],[31,2],[31,4],[31,8]],'
+        '"k0_rule_hi":60,"k0_violations":[3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59]}\n'
+    )
+
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_violation_bytes(self, monkeypatch, capsys, json_flag):
+        patch_every_visit_misses(monkeypatch)
+        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
+        argv = ["properties", "60", "--divisor-hi", "40"] + ["--json"] * json_flag
+        assert main(argv) == 5
+        expected = self.VIOLATION_JSON if json_flag else self.VIOLATION_TEXT
+        assert capsys.readouterr().out == expected
 
     def test_hi_above_scan_cap_is_usage_error(self, capsys):
         assert main(["properties", str((1 << 32) + 1)]) == 2
@@ -390,6 +443,45 @@ class TestProperties:
         monkeypatch.setattr(cli, "check_k0_type1_rule", lambda hi: [97])
         assert main(["properties", "100"]) == 5
         assert "VIOLATION p=97" in capsys.readouterr().out
+
+
+def broken_build(w):
+    raise ConsistencyError(f"planted for {w}")
+
+
+class TestConsistencyError:
+    """A witness that fails to build is this package's fault, not the
+    user's: main catches no ConsistencyError, so Python prints the
+    traceback and exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["check", "41"], "erdos_straus.cli.build_solution"),
+            # cmd_compare reads check_correspondences from recover when it runs.
+            (["compare", "2", "10"], "erdos_straus.recover.build_solution"),
+        ],
+    )
+    def test_escapes_main(self, monkeypatch, capsys, argv, target):
+        monkeypatch.setattr(target, broken_build)
+        with pytest.raises(ConsistencyError, match="planted for"):
+            main(argv)
+        assert capsys.readouterr() == ("", "")
+
+    def test_exit_code_one_with_traceback(self):
+        script = (
+            "import sys\n"
+            "from erdos_straus import cli\n"
+            "from erdos_straus.errors import ConsistencyError\n"
+            "def broken(w): raise ConsistencyError('planted')\n"
+            "cli.build_solution = broken\n"
+            "sys.exit(cli.main(['check', '41']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.endswith("erdos_straus.errors.ConsistencyError: planted\n")
 
 
 class TestParsing:

@@ -609,12 +609,13 @@ def divisor_k_rule_pairs(hi):
 
 def every_k0_visit(primes):
     """_k0_misses as if every closed form failed."""
-    return [(p, (p + 3) // 4) for p in primes if p % 24 != 1]
+    return [(p, p, (p + 3) // 4) for p in primes if p % 24 != 1]
 
 
 def every_divisor_k_visit(lo, hi):
     """_divisor_k_misses as if every closed form failed, from the real pairs."""
-    return sorted((4 * m - 1, k, m + k) for m, k in scan_module._divisor_k_pairs(lo, hi))
+    pairs = scan_module._divisor_k_pairs(lo, hi)
+    return sorted(((4 * m - 1, k), 4 * m - 1, m + k) for m, k in pairs)
 
 
 def patch_every_visit_misses(monkeypatch):
@@ -676,7 +677,7 @@ class TestRuleCertificates:
         assert scan_module._divisor_k_misses(3, 3000) == []
         # The k = 0 form fails only where 3 | p; these misses show the d
         # chosen for even x at q = 3.
-        assert scan_module._k0_misses([21, 45]) == [(21, 6), (45, 12)]
+        assert scan_module._k0_misses([21, 45]) == [(21, 21, 6), (45, 45, 12)]
 
     def test_closed_forms_never_walk_to_one_hundred_thousand(self, monkeypatch):
         # Only a failed closed form walks, so this pins each chosen d: with
