@@ -16,6 +16,7 @@ from erdos_straus import (
     divisors_of_square,
     factorize,
     first_witness,
+    is_prime,
     iter_witnesses,
     primes_in_range,
     verify_identity,
@@ -164,7 +165,7 @@ class TestFirstWitness:
 
     @pytest.mark.parametrize("lo, hi", [(2, 10**6), (2**32 - 10**5, 2**32)])
     def test_search_core_equals_the_full_divisor_walk(self, lo, hi):
-        # The core answers k = 0 from the p % 24 table and the k = 0 rule,
+        # The core answers k = 0 from the proof's cases and the k = 0 rule,
         # then probes small divisors before factoring x; the reference
         # does neither.
         for p in primes_in_range(lo, hi):
@@ -185,6 +186,9 @@ class TestFirstWitness:
             assert (walk[0] == x) == bool(ells), p
             if ells:
                 assert walk == (x, ells[0], SolutionType.TYPE_I), p
+                # the least such factor is at most sqrt(x), so the primes up
+                # to isqrt(x) settle k = 0
+                assert ells[0] ** 2 <= x, p
             seen.add((bool(ells), bool(ells) and ells[0] > witness_module._PROBE_LIMIT))
         # k = 0 and k > 0 both occur, and some k = 0 answers need x factored
         assert seen == {(False, False), (True, False), (True, True)}
@@ -202,6 +206,30 @@ class TestFirstWitness:
                 assert (d, t) == (1, SolutionType.TYPE_I), p
             elif p % 24 != 1:
                 assert (d, t) == table[p % 24], p
+
+    def test_fast_path_never_factors(self, monkeypatch):
+        # Every p % 24 != 1 gets its case's answer at x = ceil(p/4) with
+        # factoring made to raise, also just past 4 * 65537**2, where
+        # factorize raises DomainError anyway. Prime classes: 3 holds only
+        # p = 3, so seven classes have primes at that height.
+        def no_factoring(x):
+            raise AssertionError(f"x={x} factored")
+
+        monkeypatch.setattr(witness_module, "factorize", no_factoring)
+        monkeypatch.setattr(witness_module, "divisors_of_square", no_factoring)
+        cases = {5: (1, SolutionType.TYPE_II), 13: (2, SolutionType.TYPE_I),
+                 17: (1, SolutionType.TYPE_II)}  # else p % 4 == 3: (1, I)
+        for lo, hi in [(3, 10**6), (2**32 - 10**5, 2**32)]:
+            for p in primes_in_range(lo, hi):
+                if p % 24 != 1:
+                    d, t = cases.get(p % 24, (1, SolutionType.TYPE_I))
+                    assert witness_module._first_witness_unchecked(p) == ((p + 3) // 4, d, t), p
+        assert first_witness(2) == Witness(2, 1, 1, SolutionType.TYPE_II)
+        base = 4 * 65537**2
+        for r in (5, 7, 11, 13, 17, 19, 23):
+            p = next(n for n in range(base + (r - base) % 24, base + 10**6, 24) if is_prime(n))
+            d, t = cases.get(r, (1, SolutionType.TYPE_I))
+            assert first_witness(p) == Witness(p, (p + 3) // 4, d, t), p
 
     def test_none_when_no_divisor_is_a_witness(self, monkeypatch):
         # 73 % 24 == 1 and x = 19 has no prime factor = 2 (mod 3), so the
