@@ -44,7 +44,7 @@ class SolutionType(str, Enum):
     TYPE_II = "II"
 
 
-# Bound once for the search loops: looking a member up on the Enum class
+# Bound once for _first_witness_unchecked: looking a member up on the Enum class
 # at every return took the search of the 36,401 primes p % 24 != 1 of
 # 2..499999 from 7.4 to 11.8 ms (in process, 2 CPUs, medians of 11
 # alternating best-of-7 runs).
@@ -104,7 +104,8 @@ _K0_PRIMES = tuple(ell for ell in range(5, _PROBE_LIMIT, 3) if is_prime(ell))
 
 
 def _ascending_square_divisors(x: int) -> Iterator[int]:
-    """Divisors of x*x ascending; x is factored, uncached, only past those up to _PROBE_LIMIT."""
+    """Divisors of x*x ascending: trial division up to _PROBE_LIMIT, then,
+    only if the caller reads on, x is factored (uncached) for the rest."""
     xx = x * x
     for d in range(1, _PROBE_LIMIT + 1):
         if xx % d == 0:
@@ -169,9 +170,9 @@ def _witnesses_x_major(primes: Sequence[int]) -> Iterator[Witness]:
             for d in divs:
                 r = d % q
                 if r == t1:
-                    yield Witness(p, x, d, _TYPE_I)
+                    yield Witness(p, x, d, SolutionType.TYPE_I)
                 if r == t2 and d <= x:
-                    yield Witness(p, x, d, _TYPE_II)
+                    yield Witness(p, x, d, SolutionType.TYPE_II)
 
 
 def iter_witnesses(p: int) -> Iterator[Witness]:
