@@ -28,9 +28,8 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import divisors_of_square, primes_in_range
 from .errors import DomainError
@@ -60,8 +59,7 @@ _MODES = ("first-only", "exhaustive")
 _HI_CAP = 1 << 32
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Per-prime scan outcome.
 
     In first-only mode the k sets and counts are None (not computed);
@@ -78,8 +76,7 @@ class ScanRecord:
     residue_840: int
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Outcome of one range scan; records ascend by p.
 
     scan_primes keeps every record. ScanStream streams them as text,

@@ -15,10 +15,9 @@ p not dividing y; type II solutions have p | y.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import divisors_of_square, factorize, is_prime
 from .errors import ConsistencyError, DomainError
@@ -51,8 +50,7 @@ class SolutionType(str, Enum):
 _TYPE_I, _TYPE_II = SolutionType.TYPE_I, SolutionType.TYPE_II
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(NamedTuple):
     """A certified (p, x, d, type) tuple; see the module docstring.
 
     Construction does not validate (enumeration emits only valid
@@ -70,8 +68,7 @@ class Witness:
         return self.x - _x_bounds(self.p)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class Solution:
+class Solution(NamedTuple):
     """A solution of 4/p = 1/x + 1/y + 1/z with x <= y <= z."""
 
     p: int

@@ -98,12 +98,11 @@ def test_no_module_names_the_benchmark_harness():
         assert "perfbench" not in path.read_text(encoding="utf-8"), path.name
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # Only a scan pool needs multiprocessing, and importing it costs every CLI start.
-    code = "import sys, erdos_straus.cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+@pytest.mark.parametrize("module", ["multiprocessing", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_unloaded(module):
+    # Only a scan pool needs multiprocessing; the result types are named tuples,
+    # so no CLI start pays for dataclasses and the inspect it imports.
+    assert _run_fresh(f"import sys, erdos_straus.cli; print({module!r} in sys.modules)") == "False\n"
 
 
 def _run_fresh(code: str) -> str:
@@ -136,6 +135,31 @@ def test_first_lookup_binds_modules_and_only_known_names():
         "print(hasattr(es, 'no_such_name'), set(es.__all__) <= set(dir(es)))\n"
     )
     assert _run_fresh(code) == "True\nFalse True\n"
+
+
+def test_result_type_reprs_are_pinned():
+    # ConsistencyError, CorrespondenceError and compare's violation lines embed these.
+    w = erdos_straus.first_witness(73)
+    assert repr(w) == "Witness(p=73, x=20, d=1, type=<SolutionType.TYPE_II: 'II'>)"
+    assert repr(erdos_straus.build_solution(w)) == (
+        "Solution(p=73, x=20, y=219, z=4380, type=<SolutionType.TYPE_II: 'II'>)"
+    )
+
+
+def test_result_types_are_immutable():
+    w = erdos_straus.first_witness(73)
+    report = erdos_straus.scan_primes(2, 100)
+    for obj in (w, erdos_straus.build_solution(w), report.records[0], report):
+        for name in obj._fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
+
+def test_equal_witnesses_hash_alike():
+    a = erdos_straus.first_witness(73)
+    b = erdos_straus.Witness(73, 20, 1, erdos_straus.SolutionType.TYPE_II)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_version_matches_pyproject():

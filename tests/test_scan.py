@@ -2,7 +2,6 @@
 
 import json
 import multiprocessing
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -301,7 +300,7 @@ class TestTally:
             ]
         else:
             records = [
-                replace(r, first=None) if r.p in missing else r for r in scan_primes(2, 1500).records
+                r._replace(first=None) if r.p in missing else r for r in scan_primes(2, 1500).records
             ]
         expected = reference_summary(records, modulus)
         assert sum(e["count"] - e["with_witness"] for e in expected.values()) == len(missing)
