@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arith import primes_in_range
 from .errors import CorrespondenceError, DomainError, ResourceLimitError
@@ -22,30 +21,19 @@ from .oracle import DEFAULT_CAP, solve_bruteforce
 from .scan import (
     ScanStream,
     _check_rule_hi,
+    _compact,
+    _witness_json,
     check_divisor_k_rule,
     check_k0_type1_rule,
     summary_line,
 )
-from .witness import (
-    SolutionType,
-    Witness,
-    build_solution,
-    iter_witnesses,
-)
+from .witness import SolutionType, build_solution, iter_witnesses
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_IO = 4
 EXIT_VIOLATION = 5
-
-
-def _compact(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _witness_json(w: Witness) -> dict[str, Any]:
-    return {"p": w.p, "x": w.x, "d": w.d, "k": w.k, "type": w.type.value}
 
 
 def _write_text(path: str, chunks: Iterable[str]) -> None:

@@ -49,6 +49,7 @@ def k_table_csv(rows: list[tuple[int, tuple[int, ...]]]) -> str:
 
 def k_table_json(rows: list[tuple[int, tuple[int, ...]]]) -> str:
     """Compact JSON object {"p": [k, ...], ...}, primes ascending."""
+    # not scan._compact: sorted keys would put "11" before "2"
     return json.dumps({str(p): list(ks) for p, ks in rows}, separators=(",", ":"))
 
 

@@ -38,6 +38,7 @@ from .witness import (
     Witness,
     _first_witness_unchecked,
     _witnesses_x_major,
+    check_type1,
 )
 
 __all__ = [
@@ -94,34 +95,39 @@ class ScanReport(NamedTuple):
     prime_count: int
 
 
-def _json_ints(values: Optional[tuple[int, ...]]) -> str:
-    return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
-
-
-# The JSON text of each solution type, looked up faster than SolutionType.value.
+# The JSON text of each solution type in _chunk_pieces' f-string, looked
+# up faster than SolutionType.value.
 _TYPE_JSON = {t: f'"{t.value}"' for t in SolutionType}
+
+
+# The one encoder of every record, summary and --json line: compact,
+# key-sorted JSON, no newline; made once, not per line as json.dumps does.
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _witness_json(w: Witness) -> dict[str, Any]:
+    """The witness as a JSON object: a record's first, an entry of check --json."""
+    return {"p": w.p, "x": w.x, "d": w.d, "k": w.k, "type": w.type.value}
 
 
 def record_line(r: ScanRecord) -> str:
     """The record as one line of compact, key-sorted JSON, no newline.
 
-    The same bytes as json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    of the record's JSON object, formatted directly because a scan
-    writes one line per prime. A first-only chunk task writes the same
-    bytes with one f-string per line (_chunk_pieces); the tests hold
-    the two equal.
+    A first-only chunk task writes the same bytes with one f-string per
+    line (_chunk_pieces), the one JSON written by hand, since a scan
+    writes a line per prime; the tests hold the two equal.
     """
-    w = r.first
     counts = r.witness_count_by_type
-    first = (
-        "null" if w is None
-        else f'{{"d":{w.d},"k":{w.k},"p":{w.p},"type":{_TYPE_JSON[w.type]},"x":{w.x}}}'
-    )
-    counts_json = "null" if counts is None else f'{{"type1":{counts[0]},"type2":{counts[1]}}}'
-    return (
-        f'{{"first":{first},"p":{r.p},"residue_24":{r.residue_24},"residue_840":{r.residue_840},'
-        f'"type1_k_set":{_json_ints(r.type1_k_set)},"type2_k_set":{_json_ints(r.type2_k_set)},'
-        f'"witness_counts":{counts_json}}}'
+    return _compact(
+        {
+            "p": r.p,
+            "first": None if r.first is None else _witness_json(r.first),
+            "type1_k_set": r.type1_k_set,
+            "type2_k_set": r.type2_k_set,
+            "witness_counts": None if counts is None else {"type1": counts[0], "type2": counts[1]},
+            "residue_24": r.residue_24,
+            "residue_840": r.residue_840,
+        }
     )
 
 
@@ -137,7 +143,7 @@ def summary_line(report: ScanReport, workers: int) -> str:
         "residue_summary": {str(k): v for k, v in report.residue_summary.items()},
         "elapsed_seconds": round(report.elapsed, 3),
     }
-    return json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return _compact(summary)
 
 
 def _check_cap(hi: int) -> None:
@@ -373,12 +379,10 @@ class ScanStream:
 
 
 def _has_type1_witness_at(p: int, x: int) -> bool:
-    """True iff some divisor d of x*x has d = -p*x (mod 4x - p), by a walk
-    over the divisors of x*x. _rule_violations calls it only for a
+    """True iff some divisor d of x*x passes check_type1 at (p, x), by a
+    walk over the divisors of x*x. _rule_violations calls it only for a
     visit whose closed-form d has failed."""
-    q = 4 * x - p
-    target = (-p * x) % q
-    return any(d % q == target for d in divisors_of_square(x))
+    return any(check_type1(p, x, d) for d in divisors_of_square(x))
 
 
 def _check_rule_hi(hi: int) -> None:

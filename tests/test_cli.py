@@ -17,6 +17,7 @@ import erdos_straus.scan as scan_module
 from erdos_straus import (
     ConsistencyError,
     CorrespondenceError,
+    ScanStream,
     SolutionType,
     k_table,
     k_table_csv,
@@ -37,6 +38,19 @@ class TestCheck:
         assert hit == [
             {"p": 41, "x": 14, "d": 1, "k": 3, "type": "II", "y": 41, "z": 574, "identity": True}
         ]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 73, 97, 193, 1009])
+    def test_first_entry_is_the_records_first(self, p, capsys):
+        # check --json and a scan record print the one witness object:
+        # the first entry bar its solution is the first-only record's
+        # first (the f-string of _chunk_pieces) and the exhaustive one's
+        assert main(["check", str(p), "--json"]) == 0
+        entry = json.loads(capsys.readouterr().out)["witnesses"][0]
+        for key in ("y", "z", "identity"):
+            del entry[key]
+        for mode in ("first-only", "exhaustive"):
+            (line,) = ScanStream(p, p, mode=mode)
+            assert json.loads(line)["first"] == entry
 
     def test_text_output(self, capsys):
         assert main(["check", "2"]) == 0
