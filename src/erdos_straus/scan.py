@@ -14,11 +14,12 @@ process in pieces of _PIECE_LINES lines), so output is identical for
 any worker count. scan_primes runs [lo, hi] as one task in process:
 the unchunked reference the stream must equal.
 
-Also checks the k = 0 and divisor-k structural rules through one
-driver, each visit against a closed-form type I witness tested in one
-pass per sieve chunk before any divisor walk, and computes residue-class
-statistics including the six classes mod 840 = {1, 121, 169, 289,
-361, 529} that the known polynomial identities do not cover.
+Also checks the k = 0 and divisor-k structural rules, both through
+_rule_violations: each visit's closed-form type I witness, which the
+rule's proof gives, is tested in one pass per sieve chunk, and a visit
+whose witness fails is a violation. Computes residue-class statistics
+including the six classes mod 840 = {1, 121, 169, 289, 361, 529} that
+the known polynomial identities do not cover.
 """
 
 from __future__ import annotations
@@ -31,15 +32,9 @@ from collections import Counter
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .arith import divisors_of_square, primes_in_range
+from .arith import primes_in_range
 from .errors import DomainError
-from .witness import (
-    SolutionType,
-    Witness,
-    _first_witness_unchecked,
-    _witnesses_x_major,
-    check_type1,
-)
+from .witness import SolutionType, Witness, _first_witness_unchecked, _witnesses_x_major
 
 __all__ = [
     "HARD_RESIDUES_840",
@@ -378,13 +373,6 @@ class ScanStream:
         self.report = _report(self.lo, self.hi, self.mode, start, tally, counterexamples)
 
 
-def _has_type1_witness_at(p: int, x: int) -> bool:
-    """True iff some divisor d of x*x passes check_type1 at (p, x), by a
-    walk over the divisors of x*x. _rule_violations calls it only for a
-    visit whose closed-form d has failed."""
-    return any(check_type1(p, x, d) for d in divisors_of_square(x))
-
-
 def _check_rule_hi(hi: int) -> None:
     """DomainError unless 3 <= hi <= 2**32, the bound either rule takes."""
     if hi < 3:
@@ -393,28 +381,23 @@ def _check_rule_hi(hi: int) -> None:
 
 
 def _rule_violations(hi: int, misses: Callable[[int, int], list]) -> list:
-    """The key of each visit of a structural rule up to hi with no type I
-    witness at its x. misses(lo, hi) lists, sorted by key, the visits
-    (key, p, x) of the primes in one chunk [lo, hi] whose closed-form d
-    fails, each tested inline in one pass; the chunks of [3, hi] span
-    at most _SPAN numbers, and only a miss walks the divisors of x*x.
+    """The key of each visit of a structural rule up to hi whose
+    closed-form type I witness fails. misses(lo, hi) lists, sorted, the
+    keys of the failed visits of the primes in one chunk [lo, hi], each
+    tested inline in one pass; the chunks of [3, hi] span at most _SPAN
+    numbers.
     """
     _check_rule_hi(hi)
-    return [
-        key
-        for a, b in _chunk_bounds(3, hi, 1)
-        for key, p, x in misses(a, b)
-        if not _has_type1_witness_at(p, x)
-    ]
+    return [key for a, b in _chunk_bounds(3, hi, 1) for key in misses(a, b)]
 
 
-def _k0_misses(primes: list[int]) -> list[tuple[int, int, int]]:
-    """The visits (p, p, x) of the primes p % 24 != 1 whose d of
-    check_k0_type1_rule fails at x = ceil(p/4): d does not divide x*x,
-    or p*x + d is not 0 mod q = 4x - p."""
+def _k0_misses(primes: list[int]) -> list[int]:
+    """The primes p % 24 != 1 whose d of check_k0_type1_rule fails at
+    x = ceil(p/4): d does not divide x*x, or p*x + d is not 0 mod
+    q = 4x - p."""
     # x and d are at least 1, so binding them never ends the test
     return [
-        (p, p, x)
+        p
         for p in primes
         if p % 24 != 1
         and (x := (p + 3) // 4)
@@ -424,8 +407,9 @@ def _k0_misses(primes: list[int]) -> list[tuple[int, int, int]]:
 
 
 def check_k0_type1_rule(hi: int) -> list[int]:
-    """Primes p <= hi (p != 2, p % 24 != 1) with no type I witness at
-    the smallest x = ceil(p/4). Expected empty.
+    """Primes p <= hi (p != 2, p % 24 != 1) whose closed-form type I
+    witness fails at the smallest x = ceil(p/4). A failed witness is a
+    violation, never rescued by another d. Expected empty.
 
     The proof, also at witness._first_witness_unchecked: d = 1 for
     p % 4 == 3 (q = 1); otherwise q = 3 and any d = 2 (mod 3) works: 2
@@ -459,13 +443,13 @@ def _divisor_k_pairs(lo: int, hi: int) -> Iterator[tuple[int, int]]:
                 yield m, m // t
 
 
-def _divisor_k_misses(lo: int, hi: int) -> list[tuple[tuple[int, int], int, int]]:
-    """The visits ((p, k), p, x) of the primes p = 4m - 1 in [lo, hi] and
-    each k | m whose d = x*x/k of check_divisor_k_rule fails at
-    x = m + k: d does not divide x*x, or p*x + d is not 0 mod q = 4x - p."""
+def _divisor_k_misses(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The pairs (p, k) of the primes p = 4m - 1 in [lo, hi] and each
+    k | m whose d = x*x/k of check_divisor_k_rule fails at x = m + k:
+    d does not divide x*x, or p*x + d is not 0 mod q = 4x - p."""
     # p, x and d are at least 1, so binding them never ends the test
     return sorted(
-        ((p, k), p, x)
+        (p, k)
         for m, k in _divisor_k_pairs(lo, hi)
         if (p := 4 * m - 1)
         and (x := m + k)
@@ -475,8 +459,10 @@ def _divisor_k_misses(lo: int, hi: int) -> list[tuple[tuple[int, int], int, int]
 
 
 def check_divisor_k_rule(hi: int) -> list[tuple[int, int]]:
-    """Pairs (p, k) with p <= hi, p % 4 == 3, k a divisor of m = ceil(p/4),
-    and no type I witness at x = m + k. Expected empty.
+    """Pairs (p, k) with p <= hi, p % 4 == 3 and k a divisor of
+    m = ceil(p/4) whose closed-form type I witness fails at x = m + k.
+    A failed witness is a violation, never rescued by another d.
+    Expected empty.
 
     Every such k lies in the k range, whose top is ceil(p/2) - m = m.
     The proof: d = x*x/k, q = 4k + 1, so 4k = -1 and p = 4x (mod q),

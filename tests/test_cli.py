@@ -427,7 +427,6 @@ class TestProperties:
     @pytest.mark.parametrize("json_flag", [False, True])
     def test_violation_bytes(self, monkeypatch, capsys, json_flag):
         patch_every_visit_misses(monkeypatch)
-        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
         argv = ["properties", "60", "--divisor-hi", "40"] + ["--json"] * json_flag
         assert main(argv) == 5
         expected = self.VIOLATION_JSON if json_flag else self.VIOLATION_TEXT

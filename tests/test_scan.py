@@ -16,7 +16,6 @@ from erdos_straus import (
     Witness,
     check_divisor_k_rule,
     check_k0_type1_rule,
-    check_type1,
     divisors,
     divisors_of_square,
     first_witness,
@@ -608,17 +607,16 @@ def divisor_k_rule_pairs(hi):
 
 def every_k0_visit(primes):
     """_k0_misses as if every closed form failed."""
-    return [(p, p, (p + 3) // 4) for p in primes if p % 24 != 1]
+    return [p for p in primes if p % 24 != 1]
 
 
 def every_divisor_k_visit(lo, hi):
     """_divisor_k_misses as if every closed form failed, from the real pairs."""
-    pairs = scan_module._divisor_k_pairs(lo, hi)
-    return sorted(((4 * m - 1, k), 4 * m - 1, m + k) for m, k in pairs)
+    return sorted((4 * m - 1, k) for m, k in scan_module._divisor_k_pairs(lo, hi))
 
 
 def patch_every_visit_misses(monkeypatch):
-    """Every visit's closed form fails, so every visit goes to the walk."""
+    """Every visit's closed form fails, so every visit is a violation."""
     monkeypatch.setattr(scan_module, "_k0_misses", every_k0_visit)
     monkeypatch.setattr(scan_module, "_divisor_k_misses", every_divisor_k_visit)
 
@@ -652,23 +650,31 @@ def assert_divisor_k_pairs_once(hi):
 
 
 class TestRuleCertificates:
-    """The closed-form witnesses the rules try before walking divisors."""
+    """The closed-form witnesses the rules test; a failed one is a violation."""
 
     def test_k0_identity_for_every_eligible_prime(self):
-        # q = 1 for p % 4 == 3; otherwise q = 3 and -p*x = 2 (mod 3).
-        for p in k0_rule_primes(200_000):
-            x = (p + 3) // 4
-            d = 1 if p % 4 == 3 else 2 if p % 24 in (5, 13) else x
-            assert check_type1(p, x, d), p
+        # q = 1 for p % 4 == 3; otherwise q = 3 and -p*x = 2 (mod 3). The
+        # proof uses only that p is 3 or prime to 6, so it is checked on
+        # every such p, prime or not.
+        count = 0
+        for p in range(3, 200_000):
+            if (p == 3 or p % 2 and p % 3) and p % 24 != 1:
+                x = (p + 3) // 4
+                d = 1 if p % 4 == 3 else 2 if p % 24 in (5, 13) else x
+                assert x * x % d == 0 and (p * x + d) % (4 * x - p) == 0, p
+                count += 1
+        assert count == 58_334
 
     def test_divisor_k_identity_for_every_pair(self):
-        # q = 4k + 1 and -p*x = x*x/k (mod q).
-        count = 0
-        for p, k, x in divisor_k_rule_pairs(200_000):
-            assert x * x % k == 0
-            assert check_type1(p, x, x * x // k), (p, k)
-            count += 1
-        assert count > 100_000
+        # m = k*j, p = 4m - 1, x = m + k = k*(j + 1), q = 4x - p = 4k + 1:
+        # p*x + x*x/k = k*(j + 1)*(4k*j - 1 + j + 1) = x*j*q exactly, so
+        # q | p*x + d with d = x*x/k, whether or not p is prime.
+        for k in range(1, 401):
+            for j in range(1, 401):
+                m = k * j
+                p, x = 4 * m - 1, m + k
+                assert x * x % k == 0 and 4 * x - p == 4 * k + 1
+                assert p * x + x * x // k == x * j * (4 * k + 1), (k, j)
 
     def test_each_visit_tests_one_closed_form(self):
         # The closed forms hold for every prime, so no visit misses.
@@ -676,55 +682,23 @@ class TestRuleCertificates:
         assert scan_module._divisor_k_misses(3, 3000) == []
         # The k = 0 form fails only where 3 | p; these misses show the d
         # chosen for even x at q = 3.
-        assert scan_module._k0_misses([21, 45]) == [(21, 21, 6), (45, 45, 12)]
+        assert scan_module._k0_misses([21, 45]) == [21, 45]
 
-    def test_closed_forms_never_walk_to_one_hundred_thousand(self, monkeypatch):
-        # Only a failed closed form walks, so this pins each chosen d: with
-        # d = 1 for even x, p = 5 (x = 2, q = 3) would walk.
-        walked = []
-        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: walked.append(x) or [])
+    def test_closed_forms_never_walk_to_one_hundred_thousand(self):
+        # A failed closed form is a violation, so this pins each chosen d:
+        # with d = 1 for even x, p = 5 (x = 2, q = 3) would be listed.
         assert check_k0_type1_rule(100_000) == []
         assert check_divisor_k_rule(100_000) == []
-        assert walked == []
 
     def test_rules_equal_the_full_walk(self):
         assert check_k0_type1_rule(20_000) == full_walk_k0_rule(20_000)
         assert check_divisor_k_rule(20_000) == full_walk_divisor_k_rule(20_000)
 
-    def test_witness_test_equals_the_full_walk_at_every_x(self):
-        # Unlike the rules' own x, the whole x range has misses (73 at x = 19).
-        misses = 0
-        for p in primes_in_range(3, 1500):
-            lo, hi = (p + 3) // 4, (p + 1) // 2
-            for x in range(lo, hi + 1):
-                expected = full_walk_has_type1(p, x)
-                misses += not expected
-                assert scan_module._has_type1_witness_at(p, x) == expected, (p, x)
-        assert misses > 0
-        assert not scan_module._has_type1_witness_at(73, 19)
-
-    def test_fallback_finds_witnesses_when_candidates_fail(self, monkeypatch):
-        # Every closed form fails: every witness comes from the walk.
-        patch_every_visit_misses(monkeypatch)
-        walked = []
-        walk = scan_module.divisors_of_square
-
-        def counting_walk(x):
-            walked.append(x)
-            return walk(x)
-
-        monkeypatch.setattr(scan_module, "divisors_of_square", counting_walk)
-        assert check_k0_type1_rule(3000) == []
-        assert len(walked) == len(k0_rule_primes(3000))
-        walked.clear()
-        assert check_divisor_k_rule(3000) == []
-        assert len(walked) == len(divisor_k_rule_pairs(3000))
-
     def test_non_divisors_never_certify(self, monkeypatch):
         # Pairs (m, k) whose k does not divide x*x at x = m + k: the closed
         # form x*x // k is then rounded down, and a d so made is never
         # congruent (x*x = k*d + r gives -p*x = d - 4r mod 4k + 1, 0 < r < k),
-        # so with no walk every such visit is a violation.
+        # so every such visit is a violation.
         def non_divisor_pairs(lo, hi):
             for p in primes_in_range(lo, hi):
                 if p % 4 == 3:
@@ -732,7 +706,6 @@ class TestRuleCertificates:
                     yield from ((m, k) for k in range(1, m + 1) if (m + k) ** 2 % k)
 
         monkeypatch.setattr(scan_module, "_divisor_k_pairs", non_divisor_pairs)
-        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
         expected = [(4 * m - 1, k) for m, k in non_divisor_pairs(3, 1000)]
         assert len(expected) == 9097
         assert check_divisor_k_rule(1000) == expected
@@ -740,11 +713,10 @@ class TestRuleCertificates:
     @pytest.mark.parametrize("list_everything", [False, True])
     def test_prime_chunks_drop_and_repeat_nothing(self, monkeypatch, list_everything):
         # The rules sieve [3, hi] chunk by chunk; with every closed form
-        # and witness test failing every case is listed, so a prime or a
-        # pair lost or repeated at a chunk edge would show.
+        # failing every case is listed, so a prime or a pair lost or
+        # repeated at a chunk edge would show.
         if list_everything:
             patch_every_visit_misses(monkeypatch)
-            monkeypatch.setattr(scan_module, "_has_type1_witness_at", lambda p, x: False)
         whole = check_k0_type1_rule(20_000), check_divisor_k_rule(20_000)
         monkeypatch.setattr(scan_module, "_SPAN", 97)
         assert len(scan_module._chunk_bounds(3, 20_000, 1)) == 207
@@ -754,10 +726,9 @@ class TestRuleCertificates:
             assert whole[1] == [(p, k) for p, k, _ in divisor_k_rule_pairs(20_000)]
 
     def test_no_candidates_and_no_walk_lists_everything(self, monkeypatch, capsys):
-        # Every closed form fails and the walk finds nothing, so every
-        # visit is a violation: nothing but a divisor of x*x certifies.
+        # Every closed form fails, so every visit is a violation: a failed
+        # certificate is listed, not rescued by another divisor of x*x.
         patch_every_visit_misses(monkeypatch)
-        monkeypatch.setattr(scan_module, "divisors_of_square", lambda x: [])
         assert check_k0_type1_rule(2000) == k0_rule_primes(2000)
         assert check_divisor_k_rule(2000) == [(p, k) for p, k, _ in divisor_k_rule_pairs(2000)]
         assert main(["properties", "200"]) == 5
