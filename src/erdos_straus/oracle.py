@@ -24,6 +24,12 @@ m**2 = n**2 * x**2 is a product a*b with a | n**2 and b | x**2, so
 the products of the two lists, cut to the window by bisect, cover all
 u; when gcd(n, x) > 1 a product can repeat, so the hits are passed
 through a set before they are sorted.
+
+The walk yields each (x, n) with a solution as its own group, the
+moment x is done with n, so a caller that checks group by group holds
+one group at a time; the divisors of n**2 are kept only while x lies
+in n's window n/4 < x <= 3n/4. solve_bruteforce(n) joins the groups
+of n alone.
 """
 
 from __future__ import annotations
@@ -75,19 +81,20 @@ def solve_bruteforce(n: int, *, cap: int = DEFAULT_CAP) -> list[Triple]:
     count of (n*x)**2, so a configurable cap guards against accidental
     huge inputs; this is a correctness oracle, not a production search.
     """
-    ((_, solutions),) = _solutions_x_major((n,), cap)
-    return solutions
+    return [t for _, _, triples in _solution_groups((n,), cap) for t in triples]
 
 
-def _solutions_x_major(
+def _solution_groups(
     ns: Sequence[int], cap: int = DEFAULT_CAP
-) -> Iterator[tuple[int, list[Triple]]]:
-    """(n, solve_bruteforce(n)) for each of strictly ascending ns, in order.
+) -> Iterator[tuple[int, int, list[Triple]]]:
+    """(x, n, the solutions of n with that x) for strictly ascending ns.
 
-    The input is checked before the walk starts: DomainError for n < 2
-    or a sequence that does not ascend strictly, ResourceLimitError if
-    the largest n exceeds cap. Each n is yielded as soon as x passes
-    3n/4, so its solution list can be dropped once the caller is done.
+    One group for each pair with a solution, in (x, n) order; each
+    group's triples are sorted and distinct. The input is checked by
+    the call, before anything is yielded: DomainError for n < 2 or a
+    sequence that does not ascend strictly, ResourceLimitError if the
+    largest n exceeds cap. The walk holds the divisors of n**2 only
+    while x is in n's window, and no solution past its group.
     """
     for i, n in enumerate(ns):
         if n < 2:
@@ -96,45 +103,46 @@ def _solutions_x_major(
             raise DomainError(f"n must ascend strictly, got {ns[i - 1]} then {n}")
     if ns and ns[-1] > cap:
         raise ResourceLimitError(f"n={ns[-1]} exceeds the cap {cap}")
-    return _walk(ns) if ns else iter(())
 
+    def walk() -> Iterator[tuple[int, int, list[Triple]]]:
+        n_divs: dict[int, list[int]] = {}  # n -> divisors of n**2, while x serves n
+        done = 0  # x has passed 3n/4 for the n in ns[:done]
+        for x in range(ns[0] // 4 + 1, 3 * ns[-1] // 4 + 1):
+            # x <= 3 * ns[-1] // 4, so this stops before running off ns.
+            while 3 * ns[done] // 4 < x:
+                del n_divs[ns[done]]
+                done += 1
+            # x serves the n with n/4 < x <= 3n/4, that is ceil(4x/3) <= n < 4x.
+            first = bisect_left(ns, -(-4 * x // 3), done)
+            last = bisect_left(ns, 4 * x, first)
+            if first == last:
+                continue
+            x_divs = _square_divisors(x)
+            for n in ns[first:last]:
+                if n not in n_divs:
+                    n_divs[n] = _square_divisors(n)
+                divs = n_divs[n]
+                q = 4 * x - n
+                m = n * x
+                low = q * x - m  # y >= x iff u >= low
+                hits = []
+                # u = a*b is symmetric in the two lists: bisect in the longer.
+                outer, inner = (divs, x_divs) if len(divs) <= len(x_divs) else (x_divs, divs)
+                for a in outer:
+                    if a > m:
+                        break
+                    lo = bisect_left(inner, -(-low // a)) if low > 0 else 0
+                    for b in inner[lo : bisect_right(inner, m // a)]:
+                        u = a * b
+                        if (m + u) % q:
+                            continue
+                        v = m * m // u
+                        if (m + v) % q:
+                            continue
+                        y, z = (m + u) // q, (m + v) // q
+                        if y >= x and 4 * x * y * z == n * (y * z + x * z + x * y):
+                            hits.append((x, y, z))
+                if hits:
+                    yield x, n, sorted(set(hits))
 
-def _walk(ns: Sequence[int]) -> Iterator[tuple[int, list[Triple]]]:
-    live: dict[int, tuple[list[int], list[Triple]]] = {}  # n -> (divisors of n**2, hits)
-    done = 0  # ns[:done] are yielded
-    for x in range(ns[0] // 4 + 1, 3 * ns[-1] // 4 + 1):
-        # x <= 3 * ns[-1] // 4, so this stops before running off ns.
-        while 3 * ns[done] // 4 < x:
-            yield ns[done], sorted(set(live.pop(ns[done])[1]))
-            done += 1
-        # x serves the n with n/4 < x <= 3n/4, that is ceil(4x/3) <= n < 4x.
-        first = bisect_left(ns, -(-4 * x // 3), done)
-        last = bisect_left(ns, 4 * x, first)
-        if first == last:
-            continue
-        x_divs = _square_divisors(x)
-        for n in ns[first:last]:
-            if n not in live:
-                live[n] = (_square_divisors(n), [])
-            n_divs, hits = live[n]
-            q = 4 * x - n
-            m = n * x
-            low = q * x - m  # y >= x iff u >= low
-            # u = a*b is symmetric in the two lists: bisect in the longer.
-            outer, inner = (n_divs, x_divs) if len(n_divs) <= len(x_divs) else (x_divs, n_divs)
-            for a in outer:
-                if a > m:
-                    break
-                lo = bisect_left(inner, -(-low // a)) if low > 0 else 0
-                for b in inner[lo : bisect_right(inner, m // a)]:
-                    u = a * b
-                    if (m + u) % q:
-                        continue
-                    v = m * m // u
-                    if (m + v) % q:
-                        continue
-                    y, z = (m + u) // q, (m + v) // q
-                    if y >= x and 4 * x * y * z == n * (y * z + x * z + x * y):
-                        hits.append((x, y, z))
-    for n in ns[done:]:
-        yield n, sorted(set(live.pop(n)[1]))
+    return walk() if ns else iter(())

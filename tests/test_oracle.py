@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from erdos_straus import (
     solve_bruteforce,
     verify_identity,
 )
-from erdos_straus.oracle import _solutions_x_major
+from erdos_straus.oracle import DEFAULT_CAP, _solution_groups
 
 ORACLE_SRC = Path(__file__).parents[1] / "src" / "erdos_straus" / "oracle.py"
 
@@ -79,12 +80,20 @@ class TestAgainstReference:
         assert solve_bruteforce(n) == reference_solver(n)
 
 
+def _by_n(ns, cap=DEFAULT_CAP):
+    """The stream's triples gathered per n, as (n, triples) in n order."""
+    per_n = {}
+    for _, n, triples in _solution_groups(ns, cap):
+        per_n.setdefault(n, []).extend(triples)
+    return sorted(per_n.items())
+
+
 class TestBatch:
     """One x-major walk over many n says what solve_bruteforce says per n."""
 
     def test_dense_batch_small(self):
         ns = range(2, 151)
-        batch = list(_solutions_x_major(ns))
+        batch = _by_n(ns)
         assert [n for n, _ in batch] == list(ns)
         for n, sols in batch:
             assert sols == solve_bruteforce(n) == reference_solver(n), n
@@ -97,7 +106,7 @@ class TestBatch:
         ids=["2", "97", "5-997-1499", "primes-1000-1500"],
     )
     def test_sparse_batches(self, ns, with_reference):
-        batch = list(_solutions_x_major(ns))
+        batch = _by_n(ns)
         assert [n for n, _ in batch] == list(ns)
         for n, sols in batch:
             assert sols == solve_bruteforce(n), n
@@ -105,14 +114,25 @@ class TestBatch:
                 assert sols == reference_solver(n), n
 
     def test_guards(self):
-        assert list(_solutions_x_major([])) == []
+        assert list(_solution_groups([])) == []
         for bad in ([5, 3], [3, 3], [1, 5], [0], [2, 7, 7]):
             with pytest.raises(DomainError):
-                _solutions_x_major(bad)
+                _solution_groups(bad)
         # raised by the call itself, before the walk yields anything
         with pytest.raises(ResourceLimitError):
-            _solutions_x_major([5, 151], cap=150)
-        assert [n for n, _ in _solutions_x_major([5, 150], cap=150)] == [5, 150]
+            _solution_groups([5, 151], cap=150)
+        assert [n for n, _ in _by_n([5, 150], cap=150)] == [5, 150]
+
+    def test_groups_ascend_and_hold_one_x(self):
+        # every n to 150, so composite n meet x sharing a factor with
+        # them, where a divisor product of (n*x)**2 can repeat
+        groups = list(_solution_groups(range(2, 151)))
+        keys = [(x, n) for x, n, _ in groups]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for x, n, triples in groups:
+            assert triples and {t[0] for t in triples} == {x}, (x, n)
+            assert triples == sorted(set(triples)), (x, n)
+        assert any(gcd(n, x) > 1 for x, n in keys)
 
 
 class TestInvariants:

@@ -1,5 +1,6 @@
 """Divisor recovery: classification, round trips, oracle agreement."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -162,14 +163,14 @@ class TestUnreachableRaises:
 
         monkeypatch.setattr(recover_module, "_derive_witness", failing)
         w = Witness(5, 2, 2, SolutionType.TYPE_I)
-        problems = recover_module._correspondence_problems(5, [w], [(2, 4, 20)])
+        problems = recover_module._pair_faults(5, [w], [(2, 4, 20)])[0]
         assert problems[0] == f"p=5: forward round-trip failed for {w}: planted"
 
     def test_wrong_forward_derivation_is_listed(self, monkeypatch):
         other = Witness(5, 2, 1, SolutionType.TYPE_II)
         monkeypatch.setattr(recover_module, "_derive_witness", lambda p, x, y: (other, 10))
         w = Witness(5, 2, 2, SolutionType.TYPE_I)
-        problems = recover_module._correspondence_problems(5, [w], [(2, 4, 20)])
+        problems = recover_module._pair_faults(5, [w], [(2, 4, 20)])[0]
         assert problems[0] == f"p=5: forward round-trip {w} -> {build_solution(w)} -> {other}"
 
 
@@ -201,16 +202,34 @@ class TestCorrespondenceInput:
             check_correspondences([5, 5])
 
 
+def _per_n(groups):
+    """The (x, n, triples) groups of the oracle stream, as n -> triples."""
+    per_n = {}
+    for _, n, triples in groups:
+        per_n.setdefault(n, []).extend(triples)
+    return per_n
+
+
+def _by_x(per_n):
+    """n -> triples back to (x, n, triples) groups in (x, n) order; each
+    n's triples keep their order within an x."""
+    groups = {}
+    for n, triples in per_n.items():
+        for t in triples:
+            groups.setdefault((t[0], n), []).append(t)
+    return [(x, n, triples) for (x, n), triples in sorted(groups.items())]
+
+
 def _patch_oracle(monkeypatch, edit, only=None):
     """Make check_correspondences see edit(true oracle triples) for
-    every prime, or for the prime only alone."""
-    true_oracle = recover_module._solutions_x_major
+    every prime, or for the prime only alone, regrouped by x."""
+    true_oracle = recover_module._solution_groups
 
     def edited(ns):
-        for n, sols in true_oracle(ns):
-            yield n, edit(sols) if only in (None, n) else sols
+        per_n = _per_n(true_oracle(ns))
+        return iter(_by_x({n: edit(ts) if only in (None, n) else ts for n, ts in per_n.items()}))
 
-    monkeypatch.setattr(recover_module, "_solutions_x_major", edited)
+    monkeypatch.setattr(recover_module, "_solution_groups", edited)
 
 
 class TestCorrespondenceViolations:
@@ -281,6 +300,32 @@ class TestCorrespondenceOverRange:
             check_correspondences([3, 3])
 
 
+def _peak_bytes(primes):
+    """The tracemalloc peak of check_correspondences(primes), which must be clean."""
+    tracemalloc.start()
+    try:
+        assert check_correspondences(primes) == []
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCorrespondenceMemory:
+    def test_peak_does_not_grow_with_the_range(self):
+        # The check holds one (x, p) pair of each walk at a time, so the
+        # 62 primes to 300 (1,563 solutions) take under 1.5 times the
+        # memory of the prime that owns their largest pair (239 at
+        # x = 60, 68 solutions) checked alone: about 1.25 times. A check
+        # that held every witness of the range would take about 5 times.
+        _, heaviest, _ = max(
+            recover_module._solution_groups(PRIMES_TO_300), key=lambda g: len(g[2])
+        )
+        # a first run fills the interpreter's free lists, which
+        # tracemalloc counts as held, out of both peaks
+        check_correspondences(PRIMES_TO_300)
+        assert _peak_bytes(PRIMES_TO_300) < 1.5 * _peak_bytes([heaviest])
+
+
 def _reference_problems(p, witnesses, solutions):
     """The two-way check as first written: every witness built and
     recovered, every oracle triple recovered and rebuilt."""
@@ -323,11 +368,10 @@ def _reference_check(primes):
     found = {p: [] for p in primes}
     for w in recover_module._witnesses_x_major(primes):
         found[w.p].append(w)
-    return [
-        line
-        for p, solutions in recover_module._solutions_x_major(primes)
-        for line in _reference_problems(p, found.pop(p), solutions)
-    ]
+    # the oracle's triples of each p in (x, n) order: a patched oracle's
+    # edits land where check_correspondences meets them
+    solutions = _per_n(recover_module._solution_groups(primes))
+    return [line for p in primes for line in _reference_problems(p, found[p], solutions.get(p, []))]
 
 
 def _patch_witnesses(monkeypatch, edit):
